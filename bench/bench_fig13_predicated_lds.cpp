@@ -33,7 +33,7 @@ int main() {
   WorkloadShape Shape = paperShape(WorkloadKind::Bmm);
   triton::Autotuner Tuner;
   triton::AutotuneResult Tuned =
-      Tuner.tune(Device, WorkloadKind::Bmm, Shape, DataRng);
+      Tuner.tune(Device, WorkloadKind::Bmm, Shape);
   BuiltKernel K = buildKernel(Device, WorkloadKind::Bmm, Shape, Tuned.Best,
                               ScheduleStyle::TritonO3, DataRng);
 

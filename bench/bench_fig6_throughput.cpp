@@ -88,7 +88,7 @@ int main() {
 
     // Level 1: autotune (the Triton baseline uses the best config).
     triton::Autotuner Tuner;
-    triton::AutotuneResult Tuned = Tuner.tune(Device, Kind, Shape, DataRng);
+    triton::AutotuneResult Tuned = Tuner.tune(Device, Kind, Shape);
     BuiltKernel Triton = buildKernel(Device, Kind, Shape, Tuned.Best,
                                      ScheduleStyle::TritonO3, DataRng);
     double TritonTime = measureUs(Device, Triton);
@@ -136,7 +136,7 @@ int main() {
     WorkloadShape Shape = paperShape(WorkloadKind::MmLeakyRelu);
     triton::Autotuner Tuner;
     triton::AutotuneResult Tuned =
-        Tuner.tune(Device, WorkloadKind::MmLeakyRelu, Shape, DataRng);
+        Tuner.tune(Device, WorkloadKind::MmLeakyRelu, Shape);
     BuiltKernel Triton =
         buildKernel(Device, WorkloadKind::MmLeakyRelu, Shape, Tuned.Best,
                     ScheduleStyle::TritonO3, DataRng);

@@ -34,7 +34,7 @@ int main() {
     Rng DataRng(3);
     WorkloadShape Shape = paperShape(Kind);
     triton::Autotuner Tuner;
-    triton::AutotuneResult Tuned = Tuner.tune(Device, Kind, Shape, DataRng);
+    triton::AutotuneResult Tuned = Tuner.tune(Device, Kind, Shape);
     BuiltKernel K = buildKernel(Device, Kind, Shape, Tuned.Best,
                                 ScheduleStyle::TritonO3, DataRng);
 

@@ -65,7 +65,7 @@ int main() {
   WorkloadShape Shape = paperShape(WorkloadKind::MmLeakyRelu);
   triton::Autotuner Tuner;
   triton::AutotuneResult Tuned =
-      Tuner.tune(Device, WorkloadKind::MmLeakyRelu, Shape, DataRng);
+      Tuner.tune(Device, WorkloadKind::MmLeakyRelu, Shape);
   BuiltKernel K = buildKernel(Device, WorkloadKind::MmLeakyRelu, Shape,
                               Tuned.Best, ScheduleStyle::TritonO3, DataRng);
 

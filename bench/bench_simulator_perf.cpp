@@ -75,28 +75,6 @@ static void BM_TimedSimulationPredecoded(benchmark::State &State) {
 }
 BENCHMARK(BM_TimedSimulationPredecoded)->Unit(benchmark::kMillisecond);
 
-/// The batch entry point: the same pre-decoded timed simulation, six
-/// schedule lanes advanced in lockstep through Gpu::runBatch. Reported
-/// per lane (items/s = lanes/s), so the row is directly comparable to
-/// BM_TimedSimulationPredecoded — the delta is the batch engine's
-/// overhead amortization, not a work reduction.
-static void BM_TimedSimulationBatch(benchmark::State &State) {
-  Fixture &F = fixture();
-  constexpr size_t NumLanes = 6;
-  gpusim::DecodedProgram Decoded(F.Kernel.Prog);
-  unsigned Resident = F.Device.residentBlocks(F.Kernel.Launch);
-  std::vector<gpusim::Gpu::BatchCandidate> Cands(
-      NumLanes, {&F.Kernel.Prog, &Decoded});
-  for (auto _ : State) {
-    std::vector<gpusim::RunResult> R = F.Device.runBatch(
-        Cands, F.Kernel.Launch, gpusim::RunMode::Timed, Resident);
-    benchmark::DoNotOptimize(R.front().Cycles);
-  }
-  State.SetItemsProcessed(static_cast<int64_t>(State.iterations()) *
-                          static_cast<int64_t>(NumLanes));
-}
-BENCHMARK(BM_TimedSimulationBatch)->Unit(benchmark::kMillisecond);
-
 /// The decode phase alone: building the pre-decoded kernel image.
 static void BM_DecodeProgram(benchmark::State &State) {
   Fixture &F = fixture();

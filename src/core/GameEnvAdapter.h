@@ -26,10 +26,8 @@ namespace core {
 
 /// Thin adapter; non-owning by default, or owning when handed the game
 /// by unique_ptr (the RolloutRunner env-pool case, where the runner
-/// must keep its games alive). Exposes the game's split-step interface
-/// as rl::LockstepEnv, so the serial rollout path can advance sibling
-/// games' reward measurements through one gpusim batch round.
-class GameEnvAdapter : public rl::Env, public rl::LockstepEnv {
+/// must keep its games alive).
+class GameEnvAdapter : public rl::Env {
 public:
   explicit GameEnvAdapter(env::AssemblyGame &Game) : Game(Game) {}
   explicit GameEnvAdapter(std::unique_ptr<env::AssemblyGame> Owned)
@@ -40,38 +38,7 @@ public:
   std::vector<float> reset() override { return Game.reset(); }
 
   rl::EnvStep step(unsigned Action) override {
-    return toEnvStep(Game.step(Action));
-  }
-
-  std::vector<uint8_t> actionMask() override { return Game.actionMask(); }
-  unsigned actionCount() const override { return Game.actionCount(); }
-  size_t obsRows() const override { return Game.obsRows(); }
-  size_t obsFeatures() const override { return Game.obsFeatures(); }
-  rl::LockstepEnv *lockstep() override { return this; }
-
-  /// \name rl::LockstepEnv
-  /// @{
-  void beginStep(unsigned Action) override { Game.beginStep(Action); }
-  void measureBatch(const std::vector<rl::LockstepEnv *> &Pending) override {
-    // Peel the assembly games out of the pending set; foreign concrete
-    // types (mixed pools exist only in tests) advance themselves.
-    std::vector<env::AssemblyGame *> Games;
-    Games.reserve(Pending.size());
-    for (rl::LockstepEnv *P : Pending) {
-      if (auto *A = dynamic_cast<GameEnvAdapter *>(P))
-        Games.push_back(&A->Game);
-      else if (P && P != this)
-        P->measureBatch({P});
-    }
-    env::AssemblyGame::measureLockstep(Games);
-  }
-  rl::EnvStep finishStep() override { return toEnvStep(Game.finishStep()); }
-  /// @}
-
-  env::AssemblyGame &game() { return Game; }
-
-private:
-  static rl::EnvStep toEnvStep(env::AssemblyGame::StepResult R) {
+    env::AssemblyGame::StepResult R = Game.step(Action);
     rl::EnvStep Out;
     Out.Obs = std::move(R.Observation);
     Out.Reward = R.Reward;
@@ -79,6 +46,14 @@ private:
     return Out;
   }
 
+  std::vector<uint8_t> actionMask() override { return Game.actionMask(); }
+  unsigned actionCount() const override { return Game.actionCount(); }
+  size_t obsRows() const override { return Game.obsRows(); }
+  size_t obsFeatures() const override { return Game.obsFeatures(); }
+
+  env::AssemblyGame &game() { return Game; }
+
+private:
   std::unique_ptr<env::AssemblyGame> OwnedGame; ///< Null when non-owning.
   env::AssemblyGame &Game;
 };

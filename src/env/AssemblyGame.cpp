@@ -296,13 +296,6 @@ double AssemblyGame::simulateCurrent(uint64_t NoiseSeed) {
   MC.Seed = NoiseSeed;
   gpusim::Measurement M =
       measureKernel(Device, Prog, Decoded, Kernel.Launch, MC);
-  return acceptMeasurement(M, MC);
-}
-
-double AssemblyGame::acceptMeasurement(const gpusim::Measurement &M,
-                                       const gpusim::MeasureConfig &MC) {
-  // Shared tail of the serial and lockstep measurement paths: protocol
-  // accounting, validity, and (unmasked mode) the oracle comparison.
   Measurements += MC.WarmupIters + MC.RepeatIters;
   SimCounters += M.Counters;
   if (!M.Valid)
@@ -349,16 +342,8 @@ std::vector<float> AssemblyGame::reset() {
 }
 
 AssemblyGame::StepResult AssemblyGame::step(unsigned Action) {
-  beginStep(Action);
-  measureLockstep({this});
-  return finishStep();
-}
-
-void AssemblyGame::beginStep(unsigned Action) {
   assert(Action < actionCount() && "action out of range");
-  assert(!Pend.Active && "beginStep while a step is already in flight");
-  Pend = PendingStep();
-  Pend.Active = true;
+  StepResult Res;
   ++StepsTaken;
 
   size_t MovIdx = Action / 2;
@@ -374,102 +359,23 @@ void AssemblyGame::beginStep(unsigned Action) {
     // the environment consistent if one is forced through. (The cached
     // mask entry equals swapLegal() by the incremental-maintenance
     // invariant, so no legality sweep happens here.)
-    Pend.Early.Observation = Obs;
-    Pend.Early.Done = StepsTaken >= Config.EpisodeLength || allMasked();
-    return;
+    Res.Observation = Obs;
+    Res.Done = StepsTaken >= Config.EpisodeLength || allMasked();
+    return Res;
   }
   if (!StructurallyPossible) {
-    Pend.Early.Observation = Obs;
-    Pend.Early.Reward = Config.InvalidPenalty;
-    Pend.Early.Invalid = true;
-    Pend.Early.Done = true;
-    return;
+    Res.Observation = Obs;
+    Res.Reward = Config.InvalidPenalty;
+    Res.Invalid = true;
+    Res.Done = true;
+    return Res;
   }
 
   // Apply the swap (the environment transition, Figure 3) — O(affected
   // window) across program, decoded image, hash, observation and mask.
   applySwap(Upper);
-  Pend.NeedMeasure = true;
-  Pend.Upper = Upper;
-  Pend.Up = Up;
-}
 
-void AssemblyGame::measureLockstep(const std::vector<AssemblyGame *> &Games) {
-  // Select the games that own a lane this round: a pending measurement
-  // whose schedule key is not yet cached, claimed at most once per
-  // (cache, key), with one lane per distinct device (runLanes requires
-  // distinct device objects). Skipped games lose nothing — their
-  // finishStep() measures through the ordinary cache path, and the
-  // cache determinism contract keeps every value identical either way.
-  struct ClaimId {
-    const void *Cache;
-    uint64_t Primary, Check;
-    bool operator==(const ClaimId &O) const {
-      return Cache == O.Cache && Primary == O.Primary && Check == O.Check;
-    }
-  };
-  std::vector<ClaimId> Claimed;
-  std::vector<const gpusim::Gpu *> UsedDevices;
-  std::vector<AssemblyGame *> Owners;
-  for (AssemblyGame *G : Games) {
-    if (!G || !G->Pend.Active || !G->Pend.NeedMeasure || G->Pend.Measured ||
-        !G->Cache)
-      continue;
-    gpusim::MeasurementCache::ScheduleKey Key = G->Hash.key();
-    double CachedUs;
-    if (G->Cache->lookup(Key, CachedUs))
-      continue;
-    ClaimId Id{G->Cache.get(), Key.Primary, Key.Check};
-    if (std::find(Claimed.begin(), Claimed.end(), Id) != Claimed.end())
-      continue;
-    if (std::find(UsedDevices.begin(), UsedDevices.end(), &G->Device) !=
-        UsedDevices.end())
-      continue;
-    Claimed.push_back(Id);
-    UsedDevices.push_back(&G->Device);
-    Owners.push_back(G);
-  }
-  if (Owners.empty())
-    return;
-
-  // One lane per owner, noise-seeded exactly as measureOrCompute would
-  // seed its Simulate callback: deriveSeed(cache base seed, Check) — a
-  // pure function of the schedule, so the lockstep value equals the
-  // serial one bit for bit.
-  std::vector<gpusim::BatchMeasureLane> Lanes(Owners.size());
-  std::vector<gpusim::MeasureConfig> MCs(Owners.size());
-  for (size_t I = 0; I < Owners.size(); ++I) {
-    AssemblyGame *G = Owners[I];
-    MCs[I] = G->Config.Measure;
-    MCs[I].Seed = gpusim::MeasurementCache::deriveSeed(G->Cache->baseSeed(),
-                                                       G->Hash.key().Check);
-    Lanes[I] = {&G->Device, &G->Prog, &G->Decoded, &G->Kernel.Launch, MCs[I]};
-  }
-  std::vector<gpusim::Measurement> Ms = gpusim::measureKernelBatch(Lanes);
-
-  for (size_t I = 0; I < Owners.size(); ++I) {
-    AssemblyGame *G = Owners[I];
-    double ValueUs = G->acceptMeasurement(Ms[I], MCs[I]);
-    // Publish under the single-simulation protocol; if another thread
-    // claimed the key meanwhile, the published value is identical by
-    // the determinism contract and ours is discarded.
-    G->Cache->measureOrCompute(G->Hash.key(),
-                               [ValueUs](uint64_t) { return ValueUs; });
-    G->Pend.Measured = true;
-    G->Pend.T = ValueUs;
-  }
-}
-
-AssemblyGame::StepResult AssemblyGame::finishStep() {
-  assert(Pend.Active && "finishStep without beginStep");
-  Pend.Active = false;
-  if (!Pend.NeedMeasure)
-    return std::move(Pend.Early);
-
-  StepResult Res;
-  size_t Upper = Pend.Upper;
-  bool Up = Pend.Up;
-  double T = Pend.Measured ? Pend.T : measure();
+  double T = measure();
   if (std::isnan(T)) {
     // Invalid schedule executed (only reachable without masking):
     // penalize, revert, terminate. applySwap is an involution, so the

@@ -116,29 +116,6 @@ public:
   std::vector<float> reset();
   StepResult step(unsigned Action);
 
-  /// \name Split-step interface (lockstep batch measurement)
-  /// step(A) is exactly `beginStep(A); measureLockstep({this});
-  /// finishStep()` — the split exists so a rollout engine can advance
-  /// the measurements of several sibling games through one
-  /// measureLockstep() round (gpusim::measureKernelBatch lanes) instead
-  /// of one game at a time. Bit-identity of the collected trajectories
-  /// rests on the MeasurementCache determinism contract: a schedule's
-  /// cached latency is a pure function of the schedule key, never of
-  /// which sibling measured it first.
-  /// @{
-  /// Applies \p Action up to (not including) the reward measurement.
-  /// Exactly one finishStep() must follow before the next beginStep().
-  void beginStep(unsigned Action);
-  /// Runs the pending measurements of \p Games in lockstep and
-  /// publishes the values into their caches. Games that need no
-  /// measurement (early-out step, already-cached schedule, duplicate
-  /// key, no cache, a device shared with an earlier lane) are skipped —
-  /// their finishStep() resolves through the ordinary measure() path.
-  static void measureLockstep(const std::vector<AssemblyGame *> &Games);
-  /// Completes the transition begun by beginStep().
-  StepResult finishStep();
-  /// @}
-
   /// 2 * movable-instruction count; action 2k moves instruction k up,
   /// 2k+1 moves it down.
   unsigned actionCount() const {
@@ -210,21 +187,8 @@ public:
   bool swapLegal(size_t Upper) const;
 
 private:
-  /// In-flight split step (between beginStep and finishStep).
-  struct PendingStep {
-    bool Active = false;      ///< beginStep called, finishStep outstanding.
-    bool NeedMeasure = false; ///< The swap was applied; latency pending.
-    bool Measured = false;    ///< measureLockstep simulated this game.
-    double T = 0.0;           ///< The measured latency when Measured.
-    size_t Upper = 0;         ///< The applied swap (for revert / trace).
-    bool Up = false;
-    StepResult Early;         ///< Prebuilt result of non-measuring paths.
-  };
-
   double measure();
   double simulateCurrent(uint64_t NoiseSeed);
-  double acceptMeasurement(const gpusim::Measurement &M,
-                           const gpusim::MeasureConfig &MC);
   void rebuildCaches();
   void rebuildMask();
   void computeMaskEntry(size_t MovableIdx, std::vector<uint8_t> &Out) const;
@@ -271,7 +235,6 @@ private:
   unsigned StepsTaken = 0;
   unsigned Measurements = 0;
   gpusim::PerfCounters SimCounters;
-  PendingStep Pend;
   bool TraceEnabled = true;
   std::vector<AppliedAction> Trace;
   std::shared_ptr<gpusim::MeasurementCache> Cache;

@@ -7,15 +7,13 @@
 // The machines themselves live in gpusim/pipeline/: TimedCore drives
 // the staged timed pipeline, OracleCore the program-order reference.
 // This file is only the device facade: state ownership, occupancy
-// rules, the run()/runBatch() entry points, and the scratch-machine
-// cache.
+// rules, the run() entry points, and the scratch-machine cache.
 //
 //===----------------------------------------------------------------------===//
 
 #include "gpusim/Gpu.h"
 
 #include "gpusim/DecodedProgram.h"
-#include "gpusim/pipeline/BatchSim.h"
 #include "gpusim/pipeline/OracleCore.h"
 #include "gpusim/pipeline/TimedCore.h"
 #include "sass/Program.h"
@@ -99,11 +97,11 @@ RunResult Gpu::run(const sass::Program &Prog, const DecodedProgram &Decoded,
                    unsigned MaxBlocks) {
   assert(Decoded.size() == Prog.size() &&
          "decoded image out of sync with program");
+  RunResult Result;
   unsigned NumBlocks = Launch.numBlocks();
   unsigned ToRun = MaxBlocks ? std::min(MaxBlocks, NumBlocks) : NumBlocks;
 
   if (Mode == RunMode::Oracle) {
-    RunResult Result;
     ConstantBank Consts;
     Consts.setParams(Launch.Params);
     for (unsigned Cta = 0; Cta < ToRun; ++Cta) {
@@ -118,106 +116,32 @@ RunResult Gpu::run(const sass::Program &Prog, const DecodedProgram &Decoded,
 
   TimedMachine &Machine = scratchMachine();
   Machine.beginRun(Prog, Decoded, Launch);
-  TimedRunPlan Plan(*this, Launch, MaxBlocks);
-  while (!Plan.done())
-    Plan.stepGroup(Machine);
-  return Plan.finish(Spec, Machine);
-}
-
-std::vector<RunResult> Gpu::runBatch(const std::vector<BatchCandidate> &Cands,
-                                     const KernelLaunch &Launch, RunMode Mode,
-                                     unsigned MaxBlocks) {
-  // Lane devices are private snapshots of this device; *this stays
-  // untouched, mirroring the measureCandidate copy-then-run protocol.
-  std::vector<Gpu> LaneDevs;
-  LaneDevs.reserve(Cands.size());
-  for (size_t I = 0; I < Cands.size(); ++I)
-    LaneDevs.emplace_back(*this);
-
-  std::vector<BatchLane> Lanes(Cands.size());
-  for (size_t I = 0; I < Cands.size(); ++I)
-    Lanes[I] = BatchLane{&LaneDevs[I], Cands[I].Prog, Cands[I].Decoded,
-                         &Launch, MaxBlocks};
-  return runLanes(Lanes, Mode);
-}
-
-std::vector<RunResult> Gpu::runLanes(const std::vector<BatchLane> &Lanes,
-                                     RunMode Mode) {
-  std::vector<RunResult> Results(Lanes.size());
-
-  // Decode lanes that came without an image (mirrors the program-only
-  // run() overload).
-  std::vector<DecodedProgram> OwnedImages;
-  OwnedImages.reserve(Lanes.size()); // Pointer stability for Images.
-  std::vector<const DecodedProgram *> Images(Lanes.size());
-  for (size_t I = 0; I < Lanes.size(); ++I) {
-    assert(Lanes[I].Device && Lanes[I].Prog && Lanes[I].Launch &&
-           "incomplete batch lane");
-    Images[I] = Lanes[I].Decoded ? Lanes[I].Decoded
-                                 : &OwnedImages.emplace_back(*Lanes[I].Prog);
-    assert(Images[I]->size() == Lanes[I].Prog->size() &&
-           "decoded image out of sync with program");
-  }
-
-  if (Mode == RunMode::Oracle) {
-    // No timing state to interleave: each lane is the oracle loop of
-    // run(), verbatim.
-    for (size_t I = 0; I < Lanes.size(); ++I) {
-      const BatchLane &L = Lanes[I];
-      unsigned NumBlocks = L.Launch->numBlocks();
-      unsigned ToRun =
-          L.MaxBlocks ? std::min(L.MaxBlocks, NumBlocks) : NumBlocks;
-      ConstantBank Consts;
-      Consts.setParams(L.Launch->Params);
-      for (unsigned Cta = 0; Cta < ToRun; ++Cta) {
-        if (!runBlockOracle(*L.Device, *L.Prog, *Images[I], *L.Launch,
-                            Consts, Cta, Results[I].FaultReason)) {
-          Results[I].Valid = false;
-          break;
-        }
-      }
-    }
-    return Results;
-  }
-
-  // Timed lanes advance in lockstep: one resident-block group per lane
-  // per turn. Each lane runs on its own device and scratch machine, so
-  // the interleaving cannot affect any lane's result (see BatchSim.h).
-  std::vector<TimedRunPlan> Plans;
-  Plans.reserve(Lanes.size());
-  for (size_t I = 0; I < Lanes.size(); ++I) {
-    const BatchLane &L = Lanes[I];
-    L.Device->scratchMachine().beginRun(*L.Prog, *Images[I], *L.Launch);
-    Plans.emplace_back(*L.Device, *L.Launch, L.MaxBlocks);
-  }
-
-  // One write-buffer pool rotates through the lanes so allocations made
-  // by any lane's events serve the others too (capacity only — never
-  // values — hence behaviorally neutral).
-  std::vector<std::vector<DeferredWrite>> Pool;
-  bool AnyActive = true;
-  while (AnyActive) {
-    AnyActive = false;
-    for (size_t I = 0; I < Lanes.size(); ++I) {
-      if (Plans[I].done())
-        continue;
-      TimedMachine &M = Lanes[I].Device->scratchMachine();
-      M.adoptWriteBufPool(std::move(Pool));
-      Plans[I].stepGroup(M);
-      Pool = M.releaseWriteBufPool();
-      AnyActive = true;
+  unsigned Resident = residentBlocks(Launch);
+  unsigned Groups = 0;
+  uint64_t TotalCycles = 0;
+  for (unsigned First = 0; First < ToRun; First += Resident) {
+    unsigned Count = std::min(Resident, ToRun - First);
+    bool Ok = Machine.runGroup(First, Count);
+    TotalCycles += Machine.elapsed();
+    ++Groups;
+    if (!Ok) {
+      Result.Valid = false;
+      Result.FaultReason = Machine.faultReason();
+      break;
     }
   }
+  Result.Counters = Machine.counters();
 
-  // Park the rotated pool on the first lane's machine instead of
-  // dropping it: repeated batch calls (measurement reps) then reuse the
-  // buffers the way repeated run() calls always have. Capacity only —
-  // behaviorally neutral.
-  if (!Lanes.empty())
-    Lanes.front().Device->scratchMachine().adoptWriteBufPool(std::move(Pool));
-
-  for (size_t I = 0; I < Lanes.size(); ++I)
-    Results[I] = Plans[I].finish(Lanes[I].Device->spec(),
-                                 Lanes[I].Device->scratchMachine());
-  return Results;
+  // Extrapolate one SM's group timing over the full grid.
+  double WavesReal =
+      static_cast<double>(NumBlocks) /
+      (static_cast<double>(Resident) * static_cast<double>(Spec.NumSMs));
+  if (WavesReal < 1.0)
+    WavesReal = 1.0;
+  double MeanGroup =
+      Groups ? static_cast<double>(TotalCycles) / Groups : 0.0;
+  Result.Cycles = static_cast<uint64_t>(MeanGroup * WavesReal);
+  Result.TimeUs = static_cast<double>(Result.Cycles) /
+                  (Spec.ClockGHz * 1000.0);
+  return Result;
 }

@@ -27,11 +27,6 @@
 /// allocation churn. The scratch is an implementation cache, never
 /// copied with the device and dropped on copy/move.
 ///
-/// `runBatch` advances N candidate schedules of one kernel in lockstep,
-/// each lane on a private snapshot of this device — bit-identical per
-/// lane to N separate copy-and-run sequences (the batch determinism
-/// contract, docs/SIMULATOR.md).
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef CUASMRL_GPUSIM_GPU_H
@@ -43,7 +38,6 @@
 #include "gpusim/Memory.h"
 
 #include <memory>
-#include <vector>
 
 namespace cuasmrl {
 namespace sass {
@@ -102,42 +96,6 @@ public:
   RunResult run(const sass::Program &Prog, const DecodedProgram &Decoded,
                 const KernelLaunch &Launch, RunMode Mode,
                 unsigned MaxBlocks = 0);
-
-  /// One candidate schedule for runBatch(). The decoded image is
-  /// optional (decoded on the fly when null, like the two-argument
-  /// run() overload).
-  struct BatchCandidate {
-    const sass::Program *Prog = nullptr;
-    const DecodedProgram *Decoded = nullptr;
-  };
-
-  /// Runs every candidate under \p Launch, lane \c i starting from a
-  /// private snapshot of this device. Lanes advance in lockstep (one
-  /// resident-block group per lane per turn, sharing one write-buffer
-  /// pool); each lane's RunResult is bit-identical to
-  /// `Gpu Lane(*this); Lane.run(*C.Prog, ..., Mode, MaxBlocks)`.
-  /// This device itself is not mutated.
-  std::vector<RunResult> runBatch(const std::vector<BatchCandidate> &Cands,
-                                  const KernelLaunch &Launch, RunMode Mode,
-                                  unsigned MaxBlocks = 0);
-
-  /// One lane of runLanes(): a caller-owned device plus what to run on
-  /// it. For candidates with heterogeneous launches/limits (autotune
-  /// sweeps), where each lane keeps its device across further use
-  /// (output readback, measurement reps).
-  struct BatchLane {
-    Gpu *Device = nullptr;
-    const sass::Program *Prog = nullptr;
-    const DecodedProgram *Decoded = nullptr; ///< Optional pre-decoded image.
-    const KernelLaunch *Launch = nullptr;
-    unsigned MaxBlocks = 0;
-  };
-
-  /// Advances all lanes in lockstep; lane \c i's result is
-  /// bit-identical to `Lanes[i].Device->run(...)` with the lane's
-  /// arguments. Lane devices must be distinct objects.
-  static std::vector<RunResult> runLanes(const std::vector<BatchLane> &Lanes,
-                                         RunMode Mode);
 
   /// Blocks per SM the occupancy rules admit for this launch.
   unsigned residentBlocks(const KernelLaunch &Launch) const;

@@ -8,7 +8,6 @@
 
 #include "sass/Program.h"
 
-#include <algorithm>
 #include <cassert>
 #include <cmath>
 
@@ -66,102 +65,6 @@ Measurement gpusim::measureKernel(Gpu &Device, const sass::Program &Prog,
   double Var = SumSq / N - Out.MeanUs * Out.MeanUs;
   Out.StddevUs = Var > 0 ? std::sqrt(Var) : 0.0;
   Out.Cycles = CycleSum / N;
-  return Out;
-}
-
-std::vector<Measurement>
-gpusim::measureKernelBatch(const std::vector<BatchMeasureLane> &Lanes) {
-  const size_t N = Lanes.size();
-  std::vector<Measurement> Out(N);
-  if (N == 0)
-    return Out;
-
-  // Decode null images once up front (the program-only measureKernel
-  // overload does the same); reserve keeps the addresses stable for
-  // the whole protocol.
-  std::vector<DecodedProgram> Owned;
-  Owned.reserve(N);
-  std::vector<const DecodedProgram *> Images(N);
-  for (size_t I = 0; I < N; ++I)
-    Images[I] = Lanes[I].Decoded ? Lanes[I].Decoded
-                                 : &Owned.emplace_back(*Lanes[I].Prog);
-
-  // Per-lane protocol state. Each lane owns its noise stream, drawn in
-  // the same order as measureKernel draws it (one normal() per rep, none
-  // during warmup, none after a fault), so lockstepping cannot perturb
-  // the jitter any lane sees.
-  struct LaneState {
-    Rng Noise;
-    double Sum = 0.0, SumSq = 0.0;
-    uint64_t CycleSum = 0;
-    bool Dead = false;
-    explicit LaneState(uint64_t Seed) : Noise(Seed) {}
-  };
-  std::vector<LaneState> St;
-  St.reserve(N);
-  unsigned MaxWarm = 0, MaxRep = 0;
-  for (const BatchMeasureLane &L : Lanes) {
-    St.emplace_back(L.Config.Seed);
-    MaxWarm = std::max(MaxWarm, L.Config.WarmupIters);
-    MaxRep = std::max(MaxRep, L.Config.RepeatIters);
-  }
-
-  // One protocol turn: every lane still inside this phase runs one
-  // iteration, together through runLanes. A faulted lane goes dead and
-  // sits out the rest — the same early exit measureKernel takes.
-  std::vector<Gpu::BatchLane> Turn;
-  std::vector<size_t> TurnIdx;
-  auto runTurn = [&](unsigned Iter, bool Rep) {
-    Turn.clear();
-    TurnIdx.clear();
-    for (size_t I = 0; I < N; ++I) {
-      const BatchMeasureLane &L = Lanes[I];
-      if (St[I].Dead ||
-          Iter >= (Rep ? L.Config.RepeatIters : L.Config.WarmupIters))
-        continue;
-      if (Rep && L.Config.ClearL2BetweenReps)
-        L.Device->clearCaches();
-      Turn.push_back(
-          {L.Device, L.Prog, Images[I], L.Launch, L.Config.MaxBlocks});
-      TurnIdx.push_back(I);
-    }
-    if (Turn.empty())
-      return;
-    std::vector<RunResult> R = Gpu::runLanes(Turn, RunMode::Timed);
-    for (size_t T = 0; T < R.size(); ++T) {
-      size_t I = TurnIdx[T];
-      if (!R[T].Valid) {
-        St[I].Dead = true;
-        Out[I].Valid = false;
-        Out[I].FaultReason = R[T].FaultReason;
-        continue;
-      }
-      if (!Rep)
-        continue;
-      double Jitter =
-          1.0 + St[I].Noise.normal(0.0, Lanes[I].Config.NoiseStddev);
-      double TimeUs = R[T].TimeUs * Jitter;
-      St[I].Sum += TimeUs;
-      St[I].SumSq += TimeUs * TimeUs;
-      St[I].CycleSum += R[T].Cycles;
-      Out[I].Counters = R[T].Counters;
-    }
-  };
-
-  for (unsigned I = 0; I < MaxWarm; ++I)
-    runTurn(I, /*Rep=*/false);
-  for (unsigned I = 0; I < MaxRep; ++I)
-    runTurn(I, /*Rep=*/true);
-
-  for (size_t I = 0; I < N; ++I) {
-    if (St[I].Dead)
-      continue;
-    unsigned Reps = Lanes[I].Config.RepeatIters;
-    Out[I].MeanUs = St[I].Sum / Reps;
-    double Var = St[I].SumSq / Reps - Out[I].MeanUs * Out[I].MeanUs;
-    Out[I].StddevUs = Var > 0 ? std::sqrt(Var) : 0.0;
-    Out[I].Cycles = St[I].CycleSum / Reps;
-  }
   return Out;
 }
 

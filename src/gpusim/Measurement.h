@@ -73,30 +73,6 @@ Measurement measureKernel(Gpu &Device, const sass::Program &Prog,
                           const KernelLaunch &Launch,
                           const MeasureConfig &Config = MeasureConfig());
 
-/// One lane of measureKernelBatch(): a caller-owned device plus the
-/// kernel and protocol to measure on it. The decoded image is optional
-/// (a null \c Decoded is decoded once up front, like measureKernel's
-/// program-only overload).
-struct BatchMeasureLane {
-  Gpu *Device = nullptr;
-  const sass::Program *Prog = nullptr;
-  const DecodedProgram *Decoded = nullptr;
-  const KernelLaunch *Launch = nullptr;
-  MeasureConfig Config;
-};
-
-/// Measures every lane with the warmup/repeat protocol advanced in
-/// lockstep across lanes (iteration \c i of every lane, then iteration
-/// \c i+1), with each lane's runs advancing group-by-group through
-/// `Gpu::runLanes`. Lane \c i's Measurement is bit-identical to
-/// `measureKernel(*L.Device, *L.Prog, [*L.Decoded,] *L.Launch,
-/// L.Config)`: same run sequence on the same device, same per-lane
-/// noise stream, same early exit on fault — lanes share nothing but
-/// recycled event-buffer capacity (see docs/SIMULATOR.md, batch
-/// determinism). Lane devices must be distinct objects.
-std::vector<Measurement>
-measureKernelBatch(const std::vector<BatchMeasureLane> &Lanes);
-
 /// Shared schedule -> latency memoization for the reward loop.
 ///
 /// Keyed by a canonical 64-bit hash of the schedule text
@@ -132,11 +108,6 @@ public:
   /// \p BaseSeed folds into every per-key noise seed (use the master
   /// training seed so different runs see different noise).
   explicit MeasurementCache(uint64_t BaseSeed = 1) : BaseSeed(BaseSeed) {}
-
-  /// The seed every per-key noise stream derives from. Lets external
-  /// lockstep measurement paths reproduce deriveSeed(baseSeed(), Check)
-  /// — the exact seed measureOrCompute would hand their Simulate.
-  uint64_t baseSeed() const { return BaseSeed; }
 
   /// Returns the cached latency for \p Key, or runs
   /// \p Simulate(noiseSeed) to produce, publish and return it. The

@@ -20,8 +20,8 @@
 ///
 /// Both are plain aggregates over references into machine state: the
 /// execute stage owns no state of its own, which is what lets the
-/// opcode switch compile once and serve every machine (timed, oracle,
-/// batch lanes).
+/// opcode switch compile once and serve both machines (timed and
+/// oracle).
 ///
 //===----------------------------------------------------------------------===//
 

@@ -46,10 +46,9 @@ class TimedMachine {
 public:
   explicit TimedMachine(Gpu &Device);
 
-  /// Binds the machine to a kernel for one run (one `Gpu::run` call or
-  /// one batch lane). \p Decoded must be positionally aligned with
-  /// \p Prog. Clears per-run state (events, counters, fault, elapsed);
-  /// keeps allocations.
+  /// Binds the machine to a kernel for one `Gpu::run` call. \p Decoded
+  /// must be positionally aligned with \p Prog. Clears per-run state
+  /// (events, counters, fault, elapsed); keeps allocations.
   void beginRun(const sass::Program &Prog, const DecodedProgram &Decoded,
                 const KernelLaunch &Launch);
 
@@ -61,16 +60,6 @@ public:
   uint64_t elapsed() const { return Elapsed; }
   const PerfCounters &counters() const { return Counters; }
   const std::string &faultReason() const { return FaultReason; }
-
-  /// \name Write-buffer pool donation (batch lanes)
-  /// @{
-  std::vector<std::vector<DeferredWrite>> releaseWriteBufPool() {
-    return Events.releaseWriteBufPool();
-  }
-  void adoptWriteBufPool(std::vector<std::vector<DeferredWrite>> &&Pool) {
-    Events.adoptWriteBufPool(std::move(Pool));
-  }
-  /// @}
 
 private:
   /// Drives one issue slot for \p WarpIdx through the fetch / operand /

@@ -90,20 +90,6 @@ public:
   /// keeping them across runs is behaviorally invisible.
   void reset() { Events.clear(); }
 
-  /// \name Write-buffer pool donation (batch lanes)
-  /// Lockstep batch simulation rotates one pool through every lane's
-  /// queue so allocations made warming lane 0 serve lanes 1..N-1 too.
-  /// Behaviorally neutral for the same reason reset() keeps the pool.
-  /// @{
-  std::vector<std::vector<DeferredWrite>> releaseWriteBufPool() {
-    return std::exchange(WriteBufPool, {});
-  }
-  void adoptWriteBufPool(std::vector<std::vector<DeferredWrite>> &&Pool) {
-    for (std::vector<DeferredWrite> &Buf : Pool)
-      recycleWriteBuf(std::move(Buf));
-  }
-  /// @}
-
 private:
   std::vector<Event> Events; ///< Min-heap ordered by eventAfter().
   std::vector<std::vector<DeferredWrite>> WriteBufPool;
@@ -137,7 +123,7 @@ void scheduleBarrierRelease(EventQueue &Q,
 /// The LSU / cache / DRAM latency model. Owns the bandwidth-occupancy
 /// state (LSU free time, DRAM free time, busy accumulation) for one
 /// machine; cache state lives on the device and is only *referenced*
-/// here, so lanes of a batch keep their own hit/miss streams.
+/// here.
 struct MemPipe {
   Cache &L1;
   Cache &L2;

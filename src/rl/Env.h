@@ -29,34 +29,6 @@ struct EnvStep {
   bool Done = false;
 };
 
-/// Optional split-step surface for lockstep batch collection (see
-/// rl/RolloutRunner). An environment whose step() cost is dominated by
-/// a simulation/measurement that sibling envs can advance together
-/// exposes the step in three phases:
-///
-///   beginStep(A);                       // apply A up to the measurement
-///   measureBatch({all pending envs});   // one cross-env lockstep round
-///   finishStep();                       // complete the transition
-///
-/// Contract: for any action, that sequence (with this env as the sole
-/// pending member) must be *bit-identical* to step(A) — same EnvStep,
-/// same successor state. measureBatch() receives every pending sibling
-/// in slot order and is called on the first of them; implementations
-/// must tolerate (and serially advance) peers of a foreign concrete
-/// type.
-class LockstepEnv {
-public:
-  virtual ~LockstepEnv();
-  /// Phase 1: applies \p Action up to (not including) the expensive
-  /// measurement.
-  virtual void beginStep(unsigned Action) = 0;
-  /// Phase 2: runs the pending measurements of every env in
-  /// \p Pending together (each exactly once per begin/finish pair).
-  virtual void measureBatch(const std::vector<LockstepEnv *> &Pending) = 0;
-  /// Phase 3: completes the transition begun by beginStep().
-  virtual EnvStep finishStep() = 0;
-};
-
 /// Abstract episodic environment with invalid-action masking.
 ///
 /// Thread-safety contract: an Env instance is single-threaded — the
@@ -79,10 +51,6 @@ public:
   /// Observation matrix shape (instructions x features).
   virtual size_t obsRows() const = 0;
   virtual size_t obsFeatures() const = 0;
-  /// This env's split-step surface, or null when step() is indivisible.
-  /// The rollout engine only collects in lockstep when every pool
-  /// member returns non-null.
-  virtual LockstepEnv *lockstep() { return nullptr; }
 };
 
 } // namespace rl

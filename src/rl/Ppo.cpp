@@ -15,7 +15,6 @@ using namespace cuasmrl;
 using namespace cuasmrl::rl;
 
 Env::~Env() = default;
-LockstepEnv::~LockstepEnv() = default;
 
 namespace {
 

@@ -77,32 +77,6 @@ void RolloutRunner::padMaskToNet(std::vector<uint8_t> &Mask,
   Mask.resize(NetActions, 0);
 }
 
-void RolloutRunner::preStep(const ActorCritic &Net, size_t Slot,
-                            Transition &T) {
-  T.Obs = CurrentObs[Slot];
-  T.Mask = Envs[Slot]->actionMask();
-  padMaskToNet(T.Mask, Net.config().Actions);
-
-  ActorCritic::Output Fwd = Net.forward(T.Obs, T.Mask);
-  T.Action =
-      sampleCategorical(Fwd.MaskedLogits.data(), SlotRngs[Slot], T.LogProb);
-  T.Value = Fwd.Value.item();
-}
-
-void RolloutRunner::postStep(size_t Slot, EnvStep Res, Transition &T,
-                             Trajectory &Out) {
-  T.Reward = static_cast<float>(Res.Reward);
-  T.Done = Res.Done;
-  RunningReturn[Slot] += Res.Reward;
-  if (Res.Done) {
-    Out.CompletedReturns.push_back(RunningReturn[Slot]);
-    RunningReturn[Slot] = 0.0;
-    CurrentObs[Slot] = Envs[Slot]->reset();
-  } else {
-    CurrentObs[Slot] = std::move(Res.Obs);
-  }
-}
-
 void RolloutRunner::collectSlot(const ActorCritic &Net, unsigned Steps,
                                 size_t Slot, Trajectory &Out) {
   // Per-slot cancellation checkpoint (the serving layer's deadline
@@ -114,52 +88,31 @@ void RolloutRunner::collectSlot(const ActorCritic &Net, unsigned Steps,
 
   for (unsigned Step = 0; Step < Steps; ++Step) {
     Transition &T = Out.Steps[Step];
-    preStep(Net, Slot, T);
-    postStep(Slot, E.step(T.Action), T, Out);
+    T.Obs = CurrentObs[Slot];
+    T.Mask = E.actionMask();
+    padMaskToNet(T.Mask, Net.config().Actions);
+
+    ActorCritic::Output Fwd = Net.forward(T.Obs, T.Mask);
+    T.Action =
+        sampleCategorical(Fwd.MaskedLogits.data(), SlotRngs[Slot], T.LogProb);
+    T.Value = Fwd.Value.item();
+
+    EnvStep Res = E.step(T.Action);
+    T.Reward = static_cast<float>(Res.Reward);
+    T.Done = Res.Done;
+    RunningReturn[Slot] += Res.Reward;
+    if (Res.Done) {
+      Out.CompletedReturns.push_back(RunningReturn[Slot]);
+      RunningReturn[Slot] = 0.0;
+      CurrentObs[Slot] = E.reset();
+    } else {
+      CurrentObs[Slot] = std::move(Res.Obs);
+    }
   }
 
   Out.BootstrapObs = CurrentObs[Slot];
   Out.BootstrapMask = E.actionMask();
   padMaskToNet(Out.BootstrapMask, Net.config().Actions);
-}
-
-void RolloutRunner::collectLockstep(const ActorCritic &Net, unsigned Steps,
-                                    TrajectoryBatch &Batch) {
-  const size_t N = Envs.size();
-  for (Trajectory &T : Batch.Trajectories)
-    T.Steps.resize(Steps);
-
-  std::vector<LockstepEnv *> Pending(N);
-  for (size_t Slot = 0; Slot < N; ++Slot)
-    Pending[Slot] = Envs[Slot]->lockstep();
-
-  for (unsigned Step = 0; Step < Steps; ++Step) {
-    // Per-round checkpoint: at least as fine as the slot-major path's
-    // per-slot check.
-    if (Config.Cancel)
-      Config.Cancel->checkpoint();
-    // Phase 1 (slot order): action selection + the cheap half of the
-    // transition. Per-slot op order matches collectSlot exactly.
-    for (size_t Slot = 0; Slot < N; ++Slot) {
-      Transition &T = Batch.Trajectories[Slot].Steps[Step];
-      preStep(Net, Slot, T);
-      Pending[Slot]->beginStep(T.Action);
-    }
-    // Phase 2: one cross-env measurement round.
-    Pending.front()->measureBatch(Pending);
-    // Phase 3 (slot order): finish transitions and episode bookkeeping.
-    for (size_t Slot = 0; Slot < N; ++Slot) {
-      Trajectory &Out = Batch.Trajectories[Slot];
-      postStep(Slot, Pending[Slot]->finishStep(), Out.Steps[Step], Out);
-    }
-  }
-
-  for (size_t Slot = 0; Slot < N; ++Slot) {
-    Trajectory &Out = Batch.Trajectories[Slot];
-    Out.BootstrapObs = CurrentObs[Slot];
-    Out.BootstrapMask = Envs[Slot]->actionMask();
-    padMaskToNet(Out.BootstrapMask, Net.config().Actions);
-  }
 }
 
 TrajectoryBatch RolloutRunner::collect(const ActorCritic &Net,
@@ -170,17 +123,9 @@ TrajectoryBatch RolloutRunner::collect(const ActorCritic &Net,
     Pool->parallelFor(Envs.size(), [&](size_t Slot) {
       collectSlot(Net, Steps, Slot, Batch.Trajectories[Slot]);
     });
-    return Batch;
+  } else {
+    for (size_t Slot = 0; Slot < Envs.size(); ++Slot)
+      collectSlot(Net, Steps, Slot, Batch.Trajectories[Slot]);
   }
-  bool AllLockstep =
-      Envs.size() > 1 &&
-      std::all_of(Envs.begin(), Envs.end(),
-                  [](Env *E) { return E->lockstep() != nullptr; });
-  if (AllLockstep) {
-    collectLockstep(Net, Steps, Batch);
-    return Batch;
-  }
-  for (size_t Slot = 0; Slot < Envs.size(); ++Slot)
-    collectSlot(Net, Steps, Slot, Batch.Trajectories[Slot]);
   return Batch;
 }

@@ -101,10 +101,10 @@ struct RolloutConfig {
   /// (Seed, i), independent of every other slot.
   uint64_t Seed = 1;
   /// Cooperative cancellation (not owned; may be null). Checked once
-  /// per rollout slot (and per lockstep round); a tripped token
-  /// unwinds collect() with CancelledError — parallelFor rethrows it
-  /// on the driver thread, and sibling slots each trip their own
-  /// checkpoint, so the pool drains promptly.
+  /// per rollout slot; a tripped token unwinds collect() with
+  /// CancelledError — parallelFor rethrows it on the driver thread,
+  /// and sibling slots each trip their own checkpoint, so the pool
+  /// drains promptly.
   const support::CancelToken *Cancel = nullptr;
 };
 
@@ -133,31 +133,11 @@ public:
   /// Collects one \p Steps-long trajectory per env slot under the
   /// frozen policy \p Net. Slot state (current observation, running
   /// return) persists across calls so episodes span iterations.
-  ///
-  /// Collection order is an implementation detail: the pooled path
-  /// works slot-major per worker, and the serial path advances all
-  /// slots step-major in lockstep when every env exposes
-  /// Env::lockstep() (batching the envs' measurements). Both produce
-  /// trajectories bit-identical to the plain slot-major loop — each
-  /// slot's op sequence is unchanged and cross-slot state is limited
-  /// to order-invariant caches (the determinism contract above).
   TrajectoryBatch collect(const ActorCritic &Net, unsigned Steps);
 
 private:
   void collectSlot(const ActorCritic &Net, unsigned Steps, size_t Slot,
                    Trajectory &Out);
-  /// Step-major serial collection: per step, every slot picks its
-  /// action (phase 1), all pending measurements advance through one
-  /// LockstepEnv::measureBatch round (phase 2), then every slot
-  /// completes its transition (phase 3).
-  void collectLockstep(const ActorCritic &Net, unsigned Steps,
-                       TrajectoryBatch &Batch);
-  /// One slot's phase-1 (obs/mask/forward/sample) shared by the
-  /// slot-major and lockstep paths; fills \p T up to the action.
-  void preStep(const ActorCritic &Net, size_t Slot, Transition &T);
-  /// One slot's phase-3 bookkeeping (reward, episode reset) shared by
-  /// both paths.
-  void postStep(size_t Slot, EnvStep Res, Transition &T, Trajectory &Out);
 
   std::vector<std::unique_ptr<Env>> Owned;
   std::vector<Env *> Envs;

@@ -89,17 +89,6 @@ AutotuneResult Autotuner::tune(const gpusim::Gpu &Device,
   return sweepAll(Device, {{Kind, Shape}}).front();
 }
 
-AutotuneResult Autotuner::tune(gpusim::Gpu &Device,
-                               kernels::WorkloadKind Kind,
-                               const kernels::WorkloadShape &Shape,
-                               Rng &DataRng) {
-  // Candidate streams derive from Options.BaseSeed, never from the
-  // caller's Rng (see the header): the legacy parameter is accepted but
-  // deliberately untouched so cached results are order-independent.
-  (void)DataRng;
-  return tune(static_cast<const gpusim::Gpu &>(Device), Kind, Shape);
-}
-
 std::vector<AutotuneResult>
 Autotuner::sweepAll(const gpusim::Gpu &Device,
                     const std::vector<SweepRequest> &Requests) {
@@ -194,53 +183,6 @@ Autotuner::sweepAll(const gpusim::Gpu &Device,
           support::ThreadPool Pool(Workers);
           Pool.parallelFor(Tasks.size(),
                            [&](size_t T) { RunTask(T); });
-        } else if (Tasks.size() > 1) {
-          // Single-threaded sweeps advance every candidate in lockstep
-          // through the batch measurement path instead of measuring one
-          // candidate to completion at a time. Build and protocol mirror
-          // measureCandidate() exactly — a private device copy and Rng
-          // per candidate, seeds pure in (BaseSeed, request, candidate) —
-          // and builds touch only their own lane, so hoisting them ahead
-          // of the measurements cannot change any lane's result (the
-          // batch determinism contract, docs/SIMULATOR.md).
-          struct CandidateLane {
-            gpusim::Gpu Local;
-            kernels::BuiltKernel K;
-            gpusim::MeasureConfig MC;
-            CandidateLane(const gpusim::Gpu &Device,
-                          const gpusim::MeasureConfig &MC)
-                : Local(Device), MC(MC) {}
-          };
-          std::vector<CandidateLane> Lanes;
-          Lanes.reserve(Tasks.size());
-          for (const Task &K : Tasks) {
-            // Per-candidate checkpoint, mirroring RunTask.
-            if (Options.Cancel)
-              Options.Cancel->checkpoint();
-            Lanes.emplace_back(Device, Options.Measure);
-            CandidateLane &L = Lanes.back();
-            Rng CandRng(K.Seed);
-            L.K = kernels::buildKernel(L.Local, Requests[K.Req].Kind,
-                                       Requests[K.Req].Shape, K.Config,
-                                       kernels::ScheduleStyle::TritonO3,
-                                       CandRng);
-            if (L.MC.MaxBlocks == 0)
-              L.MC.MaxBlocks = L.Local.residentBlocks(L.K.Launch);
-            L.MC.Seed = mixSeed(K.Seed, 0x6d656173756e6f69ull);
-          }
-          std::vector<gpusim::BatchMeasureLane> MLanes(Lanes.size());
-          for (size_t T = 0; T < Lanes.size(); ++T)
-            MLanes[T] = {&Lanes[T].Local, &Lanes[T].K.Prog, nullptr,
-                         &Lanes[T].K.Launch, Lanes[T].MC};
-          std::vector<gpusim::Measurement> Ms =
-              gpusim::measureKernelBatch(MLanes);
-          for (size_t T = 0; T < Tasks.size(); ++T) {
-            TunedConfig TC;
-            TC.Config = Tasks[T].Config;
-            TC.Valid = Ms[T].Valid;
-            TC.MeanUs = Ms[T].MeanUs;
-            Out[Tasks[T].Req].Sweep[Tasks[T].Cand] = TC;
-          }
         } else {
           for (size_t T = 0; T < Tasks.size(); ++T)
             RunTask(T);

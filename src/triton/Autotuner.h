@@ -98,13 +98,6 @@ public:
   AutotuneResult tune(const gpusim::Gpu &Device, kernels::WorkloadKind Kind,
                       const kernels::WorkloadShape &Shape);
 
-  /// Source-compatibility overload for the pre-sweep-engine interface.
-  /// \p DataRng is no longer consumed: candidate input streams derive
-  /// from AutotuneOptions::BaseSeed so the cached result cannot depend
-  /// on the caller's Rng state or call order.
-  AutotuneResult tune(gpusim::Gpu &Device, kernels::WorkloadKind Kind,
-                      const kernels::WorkloadShape &Shape, Rng &DataRng);
-
   /// Tunes a batch of workloads in one fan-out: every (request,
   /// candidate) pair its caller owns is measured concurrently across
   /// the worker pool (no per-request barrier). Results are returned in

@@ -462,8 +462,13 @@ TEST(NetServerTest, LoopbackStreamMatchesInProcessSubmission) {
   gpusim::Gpu Device;
   std::vector<OptimizeRequest> Stream;
   for (unsigned I = 0; I < 64; ++I) {
-    // Four distinct keys, cycled: cold optimizations up front, then
-    // deterministic deploy-cache hits.
+    // Four distinct keys, cycled. Indices 0 and 2 are cold
+    // optimizations; 1 and 3 are near misses of them, answered
+    // Degraded while a background upgrade optimizes their own key.
+    // Each leg drains after index 3, so from index 4 on every request
+    // is a deterministic deploy-cache hit. (Without the drain, index 5
+    // or 7 could attach to a still-running upgrade and answer
+    // Optimized in one leg and LookupHit in the other.)
     switch (I % 4) {
     case 0:
       Stream.push_back(request(WorkloadKind::Softmax, 64));
@@ -487,10 +492,12 @@ TEST(NetServerTest, LoopbackStreamMatchesInProcessSubmission) {
     std::vector<WireResponse> InProc;
     {
       OptimizationService Service(Device, tinyService(Workers, DirA));
-      for (const OptimizeRequest &R : Stream) {
-        Ticket T = Service.submit(R);
+      for (size_t I = 0; I < Stream.size(); ++I) {
+        Ticket T = Service.submit(Stream[I]);
         ASSERT_TRUE(T.valid());
         InProc.push_back(summarizeResponse(*T.Response.get()));
+        if (I == 3)
+          Service.drain();
       }
       Service.shutdown();
     }
@@ -507,10 +514,12 @@ TEST(NetServerTest, LoopbackStreamMatchesInProcessSubmission) {
       ClientConfig CC;
       CC.Port = *Port;
       Client Cli(CC);
-      for (const OptimizeRequest &R : Stream) {
-        Expected<WireResponse> Resp = Cli.call(R);
+      for (size_t I = 0; I < Stream.size(); ++I) {
+        Expected<WireResponse> Resp = Cli.call(Stream[I]);
         ASSERT_TRUE(static_cast<bool>(Resp)) << Resp.error().message();
         OverNet.push_back(Resp.takeValue());
+        if (I == 3)
+          Service.drain();
       }
       NetStats NS = Srv.stats();
       EXPECT_EQ(NS.FramesReceived, 64u);
@@ -524,9 +533,11 @@ TEST(NetServerTest, LoopbackStreamMatchesInProcessSubmission) {
     ASSERT_EQ(InProc.size(), OverNet.size());
     for (size_t I = 0; I < InProc.size(); ++I)
       expectWireIdentical(OverNet[I], InProc[I]);
-    // The stream really exercised both paths.
+    // The stream exercised cold, near-miss and hit answers.
     EXPECT_EQ(InProc[0].St, WireStatus::Optimized);
+    EXPECT_EQ(InProc[1].St, WireStatus::Degraded);
     EXPECT_EQ(InProc[4].St, WireStatus::LookupHit);
+    EXPECT_EQ(InProc[5].St, WireStatus::LookupHit);
     std::filesystem::remove_all(DirA);
     std::filesystem::remove_all(DirB);
   }

@@ -41,11 +41,10 @@ gpusim::MeasureConfig quickMeasure() {
 
 TEST(AutotunerTest, PicksFastestConfig) {
   gpusim::Gpu Device;
-  Rng DataRng(3);
   triton::Autotuner Tuner(quickMeasure());
   WorkloadShape Shape = paperShape(WorkloadKind::MmLeakyRelu);
   triton::AutotuneResult R =
-      Tuner.tune(Device, WorkloadKind::MmLeakyRelu, Shape, DataRng);
+      Tuner.tune(Device, WorkloadKind::MmLeakyRelu, Shape);
   ASSERT_FALSE(R.Sweep.empty());
   for (const triton::TunedConfig &T : R.Sweep) {
     if (T.Valid) {
@@ -56,12 +55,11 @@ TEST(AutotunerTest, PicksFastestConfig) {
 
 TEST(AutotunerTest, CachesResults) {
   gpusim::Gpu Device;
-  Rng DataRng(3);
   triton::Autotuner Tuner(quickMeasure());
   WorkloadShape Shape = testShape(WorkloadKind::Softmax);
   EXPECT_EQ(Tuner.cached(WorkloadKind::Softmax, Shape), nullptr);
   triton::AutotuneResult First =
-      Tuner.tune(Device, WorkloadKind::Softmax, Shape, DataRng);
+      Tuner.tune(Device, WorkloadKind::Softmax, Shape);
   const triton::AutotuneResult *Hit =
       Tuner.cached(WorkloadKind::Softmax, Shape);
   ASSERT_NE(Hit, nullptr);
@@ -70,12 +68,11 @@ TEST(AutotunerTest, CachesResults) {
 
 TEST(AutotunerTest, SkipsNonFittingConfigs) {
   gpusim::Gpu Device;
-  Rng DataRng(3);
   triton::Autotuner Tuner(quickMeasure());
   // Tiny shape: the BM=128 candidate cannot fit and must be skipped.
   WorkloadShape Shape = testShape(WorkloadKind::MmLeakyRelu);
   triton::AutotuneResult R =
-      Tuner.tune(Device, WorkloadKind::MmLeakyRelu, Shape, DataRng);
+      Tuner.tune(Device, WorkloadKind::MmLeakyRelu, Shape);
   for (const triton::TunedConfig &T : R.Sweep)
     EXPECT_TRUE(configFits(WorkloadKind::MmLeakyRelu, Shape, T.Config));
 }
@@ -139,23 +136,6 @@ TEST(AutotunerSweepTest, RepeatedRunsWithSameSeedAreIdentical) {
   // A different base seed must actually reseed the noise streams.
   triton::AutotuneResult Reseeded = sweepWith(2, /*BaseSeed=*/99);
   EXPECT_NE(sweepWith(2).BestUs, Reseeded.BestUs);
-}
-
-TEST(AutotunerSweepTest, LegacyRngOverloadIsOrderIndependent) {
-  // The pre-engine API threaded one DataRng through the sweep, so the
-  // cached result depended on every draw the caller made before tune().
-  // Pin the fix: two differently-advanced Rngs produce identical sweeps.
-  gpusim::Gpu DeviceA, DeviceB;
-  Rng FreshRng(3), AdvancedRng(3);
-  for (int I = 0; I < 1000; ++I)
-    (void)AdvancedRng.next();
-  triton::Autotuner TunerA(quickMeasure()), TunerB(quickMeasure());
-  WorkloadShape Shape = testShape(WorkloadKind::Softmax);
-  triton::AutotuneResult A =
-      TunerA.tune(DeviceA, WorkloadKind::Softmax, Shape, FreshRng);
-  triton::AutotuneResult B =
-      TunerB.tune(DeviceB, WorkloadKind::Softmax, Shape, AdvancedRng);
-  expectSweepIdentical(A, B);
 }
 
 TEST(AutotunerSweepTest, InvalidSweepIsFlaggedAndCachedAsInvalid) {

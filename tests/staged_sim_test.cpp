@@ -12,9 +12,10 @@
 ///  - stage unit tests on hand-built latch/warp state (warp select,
 ///    operand fetch, the event queue) — the latch contracts make each
 ///    stage testable without a machine;
-///  - lockstep-batch differentials: Gpu::runBatch, measureKernelBatch
-///    and the step-major rollout path must be bit-identical to their
-///    serial one-at-a-time equivalents.
+///  - oracle-vs-timed divergence on hazard-violating schedules;
+///  - game rollouts over private-device games sharing one
+///    MeasurementCache: the stage counters reach the game, and the
+///    trajectories do not depend on the rollout worker count.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -397,218 +398,6 @@ TEST(EventQueueTest, WriteBufPoolRecyclesCapacity) {
   // Capacity-0 buffers are not worth pooling.
   Q.recycleWriteBuf(std::vector<DeferredWrite>());
   EXPECT_EQ(Q.takeWriteBuf().capacity(), 0u);
-
-  // Donation round-trip (the batch-lane rotation surface).
-  Q.recycleWriteBuf(std::move(Back));
-  std::vector<std::vector<DeferredWrite>> Pool = Q.releaseWriteBufPool();
-  ASSERT_EQ(Pool.size(), 1u);
-  EXPECT_TRUE(Q.takeWriteBuf().capacity() == 0); // Pool left the queue.
-  EventQueue Q2;
-  Q2.adoptWriteBufPool(std::move(Pool));
-  EXPECT_GE(Q2.takeWriteBuf().capacity(), 64u);
-}
-
-//===----------------------------------------------------------------------===//
-// Lockstep batch simulation
-//===----------------------------------------------------------------------===//
-
-void expectSameRunResult(const RunResult &A, const RunResult &B,
-                         const char *Tag) {
-  SCOPED_TRACE(Tag);
-  EXPECT_EQ(A.Valid, B.Valid);
-  EXPECT_EQ(A.FaultReason, B.FaultReason);
-  EXPECT_EQ(A.Cycles, B.Cycles);
-  EXPECT_EQ(A.TimeUs, B.TimeUs);
-  // Every counter field, via the authoritative list — a counter added
-  // to PerfCounters is automatically part of the bit-identity contract.
-  visitCounterFields(A.Counters, B.Counters,
-                     [](const char *Name, const uint64_t &X,
-                        const uint64_t &Y) { EXPECT_EQ(X, Y) << Name; });
-}
-
-TEST(BatchSimTest, RunBatchMatchesSingleLaneRuns) {
-  for (const KernelUnderTest &It : TestKernels) {
-    Gpu Device;
-    kernels::BuiltKernel K = buildTestKernel(Device, It.Kind);
-    std::vector<size_t> Pairs = instrPairs(K.Prog);
-
-    // Six schedule variants, including the hazard-violating softmax
-    // ones (golden rows 16/17) — invalid lanes must fail identically.
-    std::vector<sass::Program> Progs;
-    std::vector<DecodedProgram> Images;
-    Progs.reserve(6);
-    Images.reserve(6);
-    sass::Program Work = K.Prog;
-    for (unsigned V = 0; V < 6; ++V) {
-      if (V)
-        applySwapVariant(Work, Pairs, V);
-      Progs.push_back(Work);
-    }
-    for (const sass::Program &P : Progs)
-      Images.emplace_back(P);
-
-    for (RunMode Mode : {RunMode::Timed, RunMode::Oracle}) {
-      std::vector<Gpu::BatchCandidate> Cands(Progs.size());
-      for (size_t I = 0; I < Progs.size(); ++I)
-        Cands[I] = Gpu::BatchCandidate{&Progs[I], &Images[I]};
-      std::vector<RunResult> Batch =
-          Device.runBatch(Cands, K.Launch, Mode, 2);
-
-      ASSERT_EQ(Batch.size(), Progs.size());
-      for (size_t I = 0; I < Progs.size(); ++I) {
-        // Serial reference: the documented lane semantics — a private
-        // snapshot of the shared device, one plain run.
-        Gpu Ref(Device);
-        RunResult Single = Ref.run(Progs[I], Images[I], K.Launch, Mode, 2);
-        std::string Tag = std::string(It.Name) + " variant " +
-                          std::to_string(I) +
-                          (Mode == RunMode::Timed ? " timed" : " oracle");
-        expectSameRunResult(Batch[I], Single, Tag.c_str());
-      }
-    }
-  }
-}
-
-TEST(BatchSimTest, RandomizedDifferentialSweep) {
-  // Differential sweep: for every workload and batch sizes {1, 2, 7,
-  // 16}, lockstep runBatch over randomized schedule variants must be
-  // bit-identical — full counter set included — to N independent
-  // private-snapshot Gpu runs of the same variants, in both run modes.
-  // Variants are seeded random adjacent-swap walks, so lanes include
-  // legal reorderings and hazard-violating schedules alike.
-  const unsigned BatchSizes[] = {1, 2, 7, 16};
-  for (kernels::WorkloadKind Kind : kernels::allWorkloads()) {
-    Gpu Device;
-    kernels::BuiltKernel K = buildTestKernel(Device, Kind);
-    // Random swaps may legally produce hazard-violating schedules (the
-    // sweep wants those), but reordering control flow can unbound the
-    // loop structure and run a lane to the 200M-cycle runaway limit —
-    // seconds of wall time that test nothing new. Swap only pairs
-    // where neither side ends a basic block.
-    std::vector<size_t> Pairs;
-    for (size_t I : instrPairs(K.Prog))
-      if (!K.Prog.stmt(I).instr().isControlFlow() &&
-          !K.Prog.stmt(I + 1).instr().isControlFlow())
-        Pairs.push_back(I);
-    ASSERT_FALSE(Pairs.empty());
-    Rng SwapRng(0xD1FFu ^ static_cast<uint64_t>(Kind));
-
-    for (unsigned BatchSize : BatchSizes) {
-      std::vector<sass::Program> Progs;
-      std::vector<DecodedProgram> Images;
-      Progs.reserve(BatchSize);
-      Images.reserve(BatchSize);
-      for (unsigned L = 0; L < BatchSize; ++L) {
-        sass::Program P = K.Prog;
-        unsigned Swaps = static_cast<unsigned>(SwapRng.uniformInt(7));
-        for (unsigned S = 0; S < Swaps; ++S) {
-          size_t Idx = SwapRng.uniformInt(Pairs.size());
-          P.swap(Pairs[Idx], Pairs[Idx] + 1);
-        }
-        Progs.push_back(std::move(P));
-      }
-      for (const sass::Program &P : Progs)
-        Images.emplace_back(P);
-
-      for (RunMode Mode : {RunMode::Timed, RunMode::Oracle}) {
-        std::vector<Gpu::BatchCandidate> Cands(Progs.size());
-        for (size_t I = 0; I < Progs.size(); ++I)
-          Cands[I] = Gpu::BatchCandidate{&Progs[I], &Images[I]};
-        std::vector<RunResult> Batch =
-            Device.runBatch(Cands, K.Launch, Mode, 2);
-        ASSERT_EQ(Batch.size(), Progs.size());
-
-        for (size_t I = 0; I < Progs.size(); ++I) {
-          Gpu Ref(Device);
-          RunResult Single =
-              Ref.run(Progs[I], Images[I], K.Launch, Mode, 2);
-          std::string Tag =
-              kernels::workloadName(Kind) + " batch " +
-              std::to_string(BatchSize) + " lane " + std::to_string(I) +
-              (Mode == RunMode::Timed ? " timed" : " oracle");
-          expectSameRunResult(Batch[I], Single, Tag.c_str());
-        }
-      }
-    }
-  }
-}
-
-TEST(BatchMeasureTest, BatchMatchesSerialMeasurements) {
-  // Heterogeneous lanes: different kernels, different protocols, one
-  // faulting schedule (softmax variant 4 is hazard-violating). Lane i
-  // must be bit-identical to measureKernel on an identically seeded
-  // device.
-  struct LaneSpec {
-    kernels::WorkloadKind Kind;
-    unsigned SwapVariants; // applySwapVariant 1..SwapVariants.
-    MeasureConfig MC;
-  };
-  std::vector<LaneSpec> Specs(4);
-  Specs[0] = {kernels::WorkloadKind::MmLeakyRelu, 0, {}};
-  Specs[1] = {kernels::WorkloadKind::FlashAttention, 2, {}};
-  Specs[1].MC.WarmupIters = 1;
-  Specs[1].MC.RepeatIters = 4;
-  Specs[1].MC.Seed = 99;
-  Specs[2] = {kernels::WorkloadKind::Softmax, 4, {}}; // Invalid schedule.
-  Specs[2].MC.RepeatIters = 2;
-  Specs[3] = {kernels::WorkloadKind::Softmax, 1, {}};
-  Specs[3].MC.ClearL2BetweenReps = false;
-  Specs[3].MC.NoiseStddev = 0.01;
-  Specs[3].MC.MaxBlocks = 2;
-
-  struct LaneKit {
-    Gpu Device;
-    kernels::BuiltKernel K;
-    sass::Program Prog;
-    std::unique_ptr<DecodedProgram> Decoded;
-  };
-  auto makeKit = [](const LaneSpec &Spec) {
-    auto Kit = std::make_unique<LaneKit>();
-    Kit->K = buildTestKernel(Kit->Device, Spec.Kind);
-    Kit->Prog = Kit->K.Prog;
-    std::vector<size_t> Pairs = instrPairs(Kit->Prog);
-    for (unsigned V = 1; V <= Spec.SwapVariants; ++V)
-      applySwapVariant(Kit->Prog, Pairs, V);
-    Kit->Decoded = std::make_unique<DecodedProgram>(Kit->Prog);
-    return Kit;
-  };
-
-  // Two identically constructed kits per lane: one measured in the
-  // batch, one serially. (Kernel building is deterministic per seed.)
-  std::vector<std::unique_ptr<LaneKit>> BatchKits, SerialKits;
-  for (const LaneSpec &Spec : Specs) {
-    BatchKits.push_back(makeKit(Spec));
-    SerialKits.push_back(makeKit(Spec));
-  }
-
-  std::vector<BatchMeasureLane> Lanes(Specs.size());
-  for (size_t I = 0; I < Specs.size(); ++I) {
-    LaneKit &Kit = *BatchKits[I];
-    // Odd lanes exercise the decode-on-entry path (null image).
-    Lanes[I] = BatchMeasureLane{&Kit.Device, &Kit.Prog,
-                                (I % 2) ? nullptr : Kit.Decoded.get(),
-                                &Kit.K.Launch, Specs[I].MC};
-  }
-  std::vector<Measurement> Batch = measureKernelBatch(Lanes);
-  ASSERT_EQ(Batch.size(), Specs.size());
-
-  for (size_t I = 0; I < Specs.size(); ++I) {
-    LaneKit &Kit = *SerialKits[I];
-    Measurement Single = measureKernel(Kit.Device, Kit.Prog, *Kit.Decoded,
-                                       Kit.K.Launch, Specs[I].MC);
-    SCOPED_TRACE(testing::Message() << "lane " << I);
-    EXPECT_EQ(Batch[I].Valid, Single.Valid);
-    EXPECT_EQ(Batch[I].FaultReason, Single.FaultReason);
-    EXPECT_EQ(Batch[I].MeanUs, Single.MeanUs);
-    EXPECT_EQ(Batch[I].StddevUs, Single.StddevUs);
-    EXPECT_EQ(Batch[I].Cycles, Single.Cycles);
-    EXPECT_EQ(Batch[I].Counters.IssuedInstrs, Single.Counters.IssuedInstrs);
-    EXPECT_EQ(Batch[I].Counters.DramBytes, Single.Counters.DramBytes);
-  }
-  EXPECT_FALSE(Batch[2].Valid); // The hazard-violating lane faulted.
-  EXPECT_TRUE(Batch[0].Valid);
-  EXPECT_TRUE(Batch[1].Valid);
-  EXPECT_TRUE(Batch[3].Valid);
 }
 
 //===----------------------------------------------------------------------===//
@@ -733,54 +522,13 @@ TEST(OracleTimedDivergenceTest, StaleValueFlipsControlFlow) {
   }
 }
 
-TEST(OracleTimedDivergenceTest, DivergencePreservedThroughBatchLanes) {
-  // The stale-read divergence must survive the lockstep batch path
-  // unchanged: every runBatch lane of the hazardous schedule must be
-  // bit-identical to its serial private-snapshot run in both modes —
-  // batching must neither mask nor invent the hazard.
-  sass::Program Stale = parseOrDie(StaleReadText, "stale");
-  sass::Program Waited = parseOrDie(WaitedReadText, "waited");
-  std::vector<sass::Program> Progs = {Stale, Waited, Stale};
-  std::vector<DecodedProgram> Images;
-  for (const sass::Program &P : Progs)
-    Images.emplace_back(P);
-
-  StaleReadSetup S;
-  for (RunMode Mode : {RunMode::Timed, RunMode::Oracle}) {
-    std::vector<Gpu::BatchCandidate> Cands(Progs.size());
-    for (size_t I = 0; I < Progs.size(); ++I)
-      Cands[I] = Gpu::BatchCandidate{&Progs[I], &Images[I]};
-    std::vector<RunResult> Batch =
-        S.Device.runBatch(Cands, S.Launch, Mode, 1);
-    ASSERT_EQ(Batch.size(), Progs.size());
-    for (size_t I = 0; I < Progs.size(); ++I) {
-      Gpu Ref(S.Device);
-      RunResult Single = Ref.run(Progs[I], Images[I], S.Launch, Mode, 1);
-      std::string Tag = std::string("lane ") + std::to_string(I) +
-                        (Mode == RunMode::Timed ? " timed" : " oracle");
-      expectSameRunResult(Batch[I], Single, Tag.c_str());
-      ASSERT_TRUE(Batch[I].Valid);
-    }
-  }
-}
-
 //===----------------------------------------------------------------------===//
-// Lockstep rollout collection
+// Game rollouts
 //===----------------------------------------------------------------------===//
 
-/// Hides the lockstep surface so the runner falls back to slot-major.
-struct PlainProxy : rl::Env {
-  rl::Env &Inner;
-  explicit PlainProxy(rl::Env &E) : Inner(E) {}
-  std::vector<float> reset() override { return Inner.reset(); }
-  rl::EnvStep step(unsigned A) override { return Inner.step(A); }
-  std::vector<uint8_t> actionMask() override { return Inner.actionMask(); }
-  unsigned actionCount() const override { return Inner.actionCount(); }
-  size_t obsRows() const override { return Inner.obsRows(); }
-  size_t obsFeatures() const override { return Inner.obsFeatures(); }
-};
-
-rl::TrajectoryBatch collectGameRollout(bool Lockstep, bool Masking,
+/// Two collect() rounds over three private-device MmLeakyRelu games
+/// that share one MeasurementCache, stepped by \p Workers threads.
+rl::TrajectoryBatch collectGameRollout(unsigned Workers, bool Masking,
                                        rl::TrajectoryBatch &Second) {
   Gpu Device;
   kernels::BuiltKernel K =
@@ -797,21 +545,15 @@ rl::TrajectoryBatch collectGameRollout(bool Lockstep, bool Masking,
 
   std::vector<std::unique_ptr<env::AssemblyGame>> Games;
   std::vector<std::unique_ptr<core::GameEnvAdapter>> Adapters;
-  std::vector<std::unique_ptr<PlainProxy>> Proxies;
   std::vector<rl::Env *> Envs;
   for (int I = 0; I < 3; ++I) {
     Games.push_back(std::make_unique<env::AssemblyGame>(Device, K, GC));
     Adapters.push_back(std::make_unique<core::GameEnvAdapter>(*Games.back()));
-    if (Lockstep) {
-      Envs.push_back(Adapters.back().get());
-    } else {
-      Proxies.push_back(std::make_unique<PlainProxy>(*Adapters.back()));
-      Envs.push_back(Proxies.back().get());
-    }
+    Envs.push_back(Adapters.back().get());
   }
 
   rl::RolloutConfig RC;
-  RC.Workers = 1;
+  RC.Workers = Workers;
   RC.Seed = 33;
   rl::RolloutRunner Runner(Envs, RC);
 
@@ -856,7 +598,7 @@ void expectSameBatch(const rl::TrajectoryBatch &A,
   }
 }
 
-TEST(LockstepRolloutTest, GameAccumulatesStageCounters) {
+TEST(GameRolloutTest, GameAccumulatesStageCounters) {
   // The per-stage counter families must reach the stats surface the
   // optimizer/service aggregate (AssemblyGame::simCounters feeds
   // OptimizeResult::RolloutCounters feeds ServiceStats::Counters).
@@ -879,14 +621,15 @@ TEST(LockstepRolloutTest, GameAccumulatesStageCounters) {
   EXPECT_LE(C.selectHitRate(), 1.0);
 }
 
-TEST(LockstepRolloutTest, MatchesSlotMajorCollection) {
+TEST(GameRolloutTest, WorkerCountDoesNotChangeTrajectories) {
   for (bool Masking : {true, false}) {
-    rl::TrajectoryBatch L2, P2;
-    rl::TrajectoryBatch L1 = collectGameRollout(/*Lockstep=*/true, Masking, L2);
-    rl::TrajectoryBatch P1 =
-        collectGameRollout(/*Lockstep=*/false, Masking, P2);
-    expectSameBatch(L1, P1, Masking ? "masked round 1" : "unmasked round 1");
-    expectSameBatch(L2, P2, Masking ? "masked round 2" : "unmasked round 2");
+    rl::TrajectoryBatch Serial2, Pooled2;
+    rl::TrajectoryBatch Serial1 = collectGameRollout(1, Masking, Serial2);
+    rl::TrajectoryBatch Pooled1 = collectGameRollout(3, Masking, Pooled2);
+    expectSameBatch(Serial1, Pooled1,
+                    Masking ? "masked round 1" : "unmasked round 1");
+    expectSameBatch(Serial2, Pooled2,
+                    Masking ? "masked round 2" : "unmasked round 2");
   }
 }
 

@@ -5,15 +5,13 @@ Drives `bench_env_step` (and, when built, `bench_simulator_perf`) from a
 CMake build tree and writes `BENCH_step_throughput.json`, plus
 `bench_autotune_sweep` writing `BENCH_autotune_sweep.json`,
 `bench_serve_throughput` writing `BENCH_serve_throughput.json` (and a
-live `BENCH_serve_snapshots.jsonl` trajectory), `bench_batch_sim`
-writing `BENCH_batch_sim.json` and `bench_warm_start` writing
-`BENCH_warm_start.json` and `bench_net_roundtrip` writing
+live `BENCH_serve_snapshots.jsonl` trajectory), `bench_warm_start`
+writing `BENCH_warm_start.json` and `bench_net_roundtrip` writing
 `BENCH_net_roundtrip.json`, so the per-PR perf trajectory of the
 env-step hot path, the autotune sweep engine, the optimization
-service, the lockstep batch-simulation entry points, the
-generalist-policy warm-start payoff and the network front door's
-round-trip overhead can be tracked by CI and compared across
-revisions with tools/bench_compare.py.
+service, the generalist-policy warm-start payoff and the network
+front door's round-trip overhead can be tracked by CI and compared
+across revisions with tools/bench_compare.py.
 
 Every report is a versioned BenchReport document (see
 docs/OBSERVABILITY.md): schema_version, run metadata (git sha / build /
@@ -26,7 +24,6 @@ Usage:
                             [--sweep-out BENCH_autotune_sweep.json]
                             [--serve-out BENCH_serve_throughput.json]
                             [--serve-snapshots BENCH_serve_snapshots.jsonl]
-                            [--batch-out BENCH_batch_sim.json]
                             [--warm-out BENCH_warm_start.json]
                             [--net-out BENCH_net_roundtrip.json]
                             [--steps N] [--timeout SECONDS]
@@ -174,7 +171,6 @@ def main():
                         default="BENCH_serve_snapshots.jsonl",
                         help="live ServiceStats JSONL from the parallel "
                         "phase ('' disables)")
-    parser.add_argument("--batch-out", default="BENCH_batch_sim.json")
     parser.add_argument("--warm-out", default="BENCH_warm_start.json")
     parser.add_argument("--net-out", default="BENCH_net_roundtrip.json")
     parser.add_argument("--steps", type=int, default=0,
@@ -234,17 +230,6 @@ def main():
             with open(args.serve_snapshots) as f:
                 lines = sum(1 for _ in f)
             print(f"wrote {args.serve_snapshots} ({lines} snapshots)")
-
-    batch = run_bench("bench_batch_sim", args.build_dir, args.batch_out,
-                      args.timeout, optional=True)
-    if batch is None:
-        return 1
-    if batch != "absent":
-        print(f"batch sim: run {metric(batch, 'run_batch_ratio'):.3f}x / "
-              f"measure {metric(batch, 'measure_batch_ratio'):.3f}x over "
-              f"{batch['extra']['lanes']} lanes "
-              f"(identical={batch['extra']['identical_results']})")
-        print(f"wrote {args.batch_out}")
 
     warm = run_bench("bench_warm_start", args.build_dir, args.warm_out,
                      args.timeout, step_args, optional=True)
