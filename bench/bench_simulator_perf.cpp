@@ -257,23 +257,53 @@ static void BM_EmbeddingRowSwap(benchmark::State &State) {
 }
 BENCHMARK(BM_EmbeddingRowSwap);
 
+namespace {
+
+/// The default policy net over the fixture kernel's observation.
+struct NetFixture {
+  env::Embedding E{fixture().Kernel.Prog};
+  Rng R{1};
+  rl::ActorCritic Net{config(E), R};
+  std::vector<float> Obs = E.embed(fixture().Kernel.Prog);
+  std::vector<uint8_t> Mask = std::vector<uint8_t>(32, 1);
+
+  static rl::NetConfig config(const env::Embedding &E) {
+    rl::NetConfig NC;
+    NC.Features = E.features();
+    NC.Length = E.rows();
+    NC.Actions = 32;
+    return NC;
+  }
+};
+
+} // namespace
+
 /// Policy-network forward pass (CNN + MLP heads).
 static void BM_NetForward(benchmark::State &State) {
-  Fixture &F = fixture();
-  env::Embedding E(F.Kernel.Prog);
-  Rng R(1);
-  rl::NetConfig NC;
-  NC.Features = E.features();
-  NC.Length = E.rows();
-  NC.Actions = 32;
-  rl::ActorCritic Net(NC, R);
-  std::vector<float> Obs = E.embed(F.Kernel.Prog);
-  std::vector<uint8_t> Mask(32, 1);
+  NetFixture N;
   for (auto _ : State) {
-    rl::ActorCritic::Output Out = Net.forward(Obs, Mask);
+    rl::ActorCritic::Output Out = N.Net.forward(N.Obs, N.Mask);
     benchmark::DoNotOptimize(Out.Value.item());
   }
 }
 BENCHMARK(BM_NetForward);
+
+/// One PPO sample's share of an update: the forward graph, a loss over
+/// the sampled action's log-probability plus the value, and backward()
+/// into the parameter gradients.
+static void BM_NetForwardBackward(benchmark::State &State) {
+  NetFixture N;
+  std::vector<rl::Tensor> Params = N.Net.parameters();
+  for (auto _ : State) {
+    for (rl::Tensor &P : Params)
+      P.zeroGrad();
+    rl::ActorCritic::Output Out = N.Net.forward(N.Obs, N.Mask);
+    rl::Tensor Loss =
+        rl::add(rl::gather(rl::logSoftmax(Out.MaskedLogits), 0), Out.Value);
+    Loss.backward();
+    benchmark::DoNotOptimize(Params.front().grad().data());
+  }
+}
+BENCHMARK(BM_NetForwardBackward);
 
 BENCHMARK_MAIN();

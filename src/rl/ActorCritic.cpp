@@ -6,6 +6,7 @@
 
 #include "rl/ActorCritic.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <istream>
@@ -145,11 +146,14 @@ struct ParsedTensor {
 /// any malformed input (bad magic, truncated stream, absurd sizes).
 std::optional<std::vector<ParsedTensor>> parseCheckpoint(std::istream &IS) {
   // Sanity bounds: a real checkpoint holds 10 tensors of at most a few
-  // million floats; anything beyond these limits is corruption, and
-  // bounding here keeps a hostile stream from requesting huge buffers.
+  // million floats; anything beyond these limits is corruption. Data is
+  // read in chunks of at most ChunkElems, so storage grows only with
+  // the bytes the stream really holds: a short stream claiming a huge
+  // tensor fails at its first missing chunk, not after allocating it.
   constexpr uint32_t MaxTensors = 256;
   constexpr uint32_t MaxDims = 8;
   constexpr uint64_t MaxElems = uint64_t(1) << 28;
+  constexpr uint64_t ChunkElems = uint64_t(1) << 16;
 
   char Magic[8];
   IS.read(Magic, sizeof(Magic));
@@ -177,11 +181,15 @@ std::optional<std::vector<ParsedTensor>> parseCheckpoint(std::istream &IS) {
         return std::nullopt;
       T.Shape.push_back(static_cast<size_t>(D64));
     }
-    T.Data.resize(static_cast<size_t>(Elems));
-    IS.read(reinterpret_cast<char *>(T.Data.data()),
-            static_cast<std::streamsize>(Elems * sizeof(float)));
-    if (!IS)
-      return std::nullopt;
+    for (uint64_t Done = 0; Done < Elems;) {
+      const uint64_t Chunk = std::min(ChunkElems, Elems - Done);
+      T.Data.resize(static_cast<size_t>(Done + Chunk));
+      IS.read(reinterpret_cast<char *>(T.Data.data() + Done),
+              static_cast<std::streamsize>(Chunk * sizeof(float)));
+      if (!IS)
+        return std::nullopt;
+      Done += Chunk;
+    }
   }
   return Tensors;
 }

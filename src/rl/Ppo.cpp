@@ -53,8 +53,10 @@ PpoTrainer::PpoTrainer(std::vector<Env *> Envs, PpoConfig C)
     : OwnedRunner(makeRunner(std::move(Envs), C)), Runner(OwnedRunner.get()),
       Config(C), SampleRng(C.Seed), Net(netConfigFor(*Runner, C), SampleRng),
       Optimizer(Net.parameters(), C.Lr) {
-  // RolloutLen == 0 would make train() spin forever on an empty batch.
+  // RolloutLen == 0 would make train() spin forever on an empty batch;
+  // MiniBatches == 0 would divide by zero in updateFromBatch().
   Config.RolloutLen = std::max(1u, Config.RolloutLen);
+  Config.MiniBatches = std::max(1u, Config.MiniBatches);
 }
 
 PpoTrainer::PpoTrainer(RolloutRunner &R, PpoConfig C)
@@ -62,6 +64,7 @@ PpoTrainer::PpoTrainer(RolloutRunner &R, PpoConfig C)
       Net(netConfigFor(*Runner, C), SampleRng),
       Optimizer(Net.parameters(), C.Lr) {
   Config.RolloutLen = std::max(1u, Config.RolloutLen);
+  Config.MiniBatches = std::max(1u, Config.MiniBatches);
 }
 
 UpdateStats PpoTrainer::update() {

@@ -336,51 +336,101 @@ Tensor rl::linear(const Tensor &W, const Tensor &X, const Tensor &B) {
   return Tensor(N);
 }
 
+namespace {
+
+/// Output positions [Lo, Hi) at which tap \p T of a same-padded kernel
+/// reads an in-range input position P + T - Pad. Empty when Lo >= Hi.
+struct TapRange {
+  size_t Lo, Hi;
+};
+
+TapRange tapRange(size_t T, size_t Pad, size_t L) {
+  size_t Lo = T < Pad ? Pad - T : 0;
+  size_t Shift = T > Pad ? T - Pad : 0;
+  return {Lo, L > Shift ? L - Shift : 0};
+}
+
+} // namespace
+
+// Every loop below gives each element exactly the float operations of
+// the textbook loops, in the same order (per output: bias, then taps in
+// (C, T) order; per weight or bias gradient: positions in ascending
+// order; per input gradient: (O, P) in ascending order). The innermost
+// loops run over independent elements, so they vectorize without
+// reassociating any sum. docs/TRAINING.md spells out why the two
+// liberties the backward takes (no G == 0 skip, zeros read for
+// out-of-range taps) are exact.
 Tensor rl::conv1d(const Tensor &X, const Tensor &W, const Tensor &B) {
   assert(X.shape().size() == 2 && W.shape().size() == 3);
   size_t Cin = X.shape()[0], L = X.shape()[1];
   size_t Cout = W.shape()[0], K = W.shape()[2];
   assert(W.shape()[1] == Cin && B.size() == Cout && K % 2 == 1);
-  long Pad = static_cast<long>(K / 2);
+  size_t Pad = K / 2;
 
   auto N = makeNode({Cout, L}, {X.node(), W.node(), B.node()});
   for (size_t O = 0; O < Cout; ++O) {
-    for (size_t P = 0; P < L; ++P) {
-      float Acc = B.data()[O];
-      for (size_t C = 0; C < Cin; ++C) {
-        const float *XRow = X.data().data() + C * L;
-        const float *WRow = W.data().data() + (O * Cin + C) * K;
-        for (size_t T = 0; T < K; ++T) {
-          long Pos = static_cast<long>(P) + static_cast<long>(T) - Pad;
-          if (Pos >= 0 && Pos < static_cast<long>(L))
-            Acc += WRow[T] * XRow[Pos];
-        }
+    float *Out = N->Data.data() + O * L;
+    std::fill(Out, Out + L, B.data()[O]);
+    for (size_t C = 0; C < Cin; ++C) {
+      const float *XRow = X.data().data() + C * L;
+      const float *WRow = W.data().data() + (O * Cin + C) * K;
+      for (size_t T = 0; T < K; ++T) {
+        const float Wt = WRow[T];
+        const TapRange R = tapRange(T, Pad, L);
+        for (size_t P = R.Lo; P < R.Hi; ++P)
+          Out[P] += Wt * XRow[P + T - Pad];
       }
-      N->Data[O * L + P] = Acc;
     }
   }
   auto Xn = X.node(), Wn = W.node(), Bn = B.node();
   std::weak_ptr<TensorNode> Self = N;
   N->Backward = [Xn, Wn, Bn, Self, Cin, Cout, L, K, Pad] {
     auto S = Self.lock();
+    const float *G = S->Grad.data();
+
+    // Weight and bias gradients. Row P of Window holds what every
+    // (input channel, tap) reads at output position P, laid out like a
+    // weight row [Cin, K], with zeros where the tap is out of range.
+    // Each output channel's weight-gradient row then gains G times one
+    // Window row per position, in ascending P.
+    const size_t Taps = Cin * K;
+    std::vector<float> Window(L * Taps, 0.0f);
+    for (size_t C = 0; C < Cin; ++C) {
+      const float *XRow = Xn->Data.data() + C * L;
+      for (size_t T = 0; T < K; ++T) {
+        const TapRange R = tapRange(T, Pad, L);
+        for (size_t P = R.Lo; P < R.Hi; ++P)
+          Window[P * Taps + C * K + T] = XRow[P + T - Pad];
+      }
+    }
     for (size_t O = 0; O < Cout; ++O) {
+      const float *GRow = G + O * L;
+      float *WGrad = Wn->Grad.data() + O * Taps;
+      float BGrad = Bn->Grad[O];
       for (size_t P = 0; P < L; ++P) {
-        float G = S->Grad[O * L + P];
-        if (G == 0.0f)
-          continue;
-        Bn->Grad[O] += G;
-        for (size_t C = 0; C < Cin; ++C) {
-          float *XGrad = Xn->Grad.data() + C * L;
-          const float *XRow = Xn->Data.data() + C * L;
-          float *WGrad = Wn->Grad.data() + (O * Cin + C) * K;
-          const float *WRow = Wn->Data.data() + (O * Cin + C) * K;
-          for (size_t T = 0; T < K; ++T) {
-            long Pos = static_cast<long>(P) + static_cast<long>(T) - Pad;
-            if (Pos >= 0 && Pos < static_cast<long>(L)) {
-              WGrad[T] += G * XRow[Pos];
-              XGrad[Pos] += G * WRow[T];
-            }
-          }
+        const float Gv = GRow[P];
+        const float *Win = Window.data() + P * Taps;
+        BGrad += Gv;
+        for (size_t I = 0; I < Taps; ++I)
+          WGrad[I] += Gv * Win[I];
+      }
+      Bn->Grad[O] = BGrad;
+    }
+
+    // Input gradient: descending taps give every input position its
+    // contributions in ascending output-position order.
+    if (!Xn->RequiresGrad)
+      return;
+    for (size_t O = 0; O < Cout; ++O) {
+      const float *GRow = G + O * L;
+      for (size_t C = 0; C < Cin; ++C) {
+        float *XGrad = Xn->Grad.data() + C * L;
+        const float *WRow = Wn->Data.data() + (O * Cin + C) * K;
+        for (size_t T = K; T-- > 0;) {
+          const float Wt = WRow[T];
+          const TapRange R = tapRange(T, Pad, L);
+          for (size_t P = R.Lo; P < R.Hi; ++P)
+            XGrad[P + T - Pad] += GRow[P] * Wt;
         }
       }
     }

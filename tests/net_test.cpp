@@ -689,6 +689,42 @@ TEST(NetServerTest, MalformedTrafficDropsTheConnectionNotTheServer) {
   Service.shutdown();
 }
 
+TEST(NetServerTest, ZeroMiniBatchesConfigIsAnsweredNotFatal) {
+  // A client's config block reaches the PPO trainer as sent, so
+  // MiniBatches == 0 must not divide by zero: SIGFPE would take the
+  // whole server process down, not fail one response.
+  gpusim::Gpu Device;
+  OptimizationService Service(Device, tinyService(/*Workers=*/1));
+  Server Srv(Service, ServerConfig{});
+  Expected<uint16_t> Port = Srv.start();
+  ASSERT_TRUE(static_cast<bool>(Port));
+  ClientConfig CC;
+  CC.Port = *Port;
+  Client Cli(CC);
+
+  OptimizeRequest Hostile = request(WorkloadKind::Softmax);
+  Hostile.Config = tinyConfig();
+  Hostile.Config->Ppo.MiniBatches = 0;
+  Expected<WireResponse> R = Cli.call(Hostile);
+  ASSERT_TRUE(static_cast<bool>(R)) << R.error().message();
+  EXPECT_EQ(R->St, WireStatus::Optimized);
+
+  // Zero trains as one minibatch: the same schedule as MiniBatches 1.
+  OptimizeRequest One = Hostile;
+  One.Config->Ppo.MiniBatches = 1;
+  Expected<WireResponse> R1 = Cli.call(One);
+  ASSERT_TRUE(static_cast<bool>(R1)) << R1.error().message();
+  EXPECT_EQ(R->Binary.serialize(), R1->Binary.serialize());
+  EXPECT_EQ(R->OptimizedUs, R1->OptimizedUs);
+
+  // The server is still up for everyone else.
+  Expected<WireResponse> Next = Cli.call(request(WorkloadKind::RmsNorm));
+  ASSERT_TRUE(static_cast<bool>(Next)) << Next.error().message();
+  EXPECT_EQ(Next->St, WireStatus::Optimized);
+  Srv.stop();
+  Service.shutdown();
+}
+
 //===----------------------------------------------------------------------===//
 // Server: admission quotas
 //===----------------------------------------------------------------------===//

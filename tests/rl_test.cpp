@@ -13,8 +13,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <sstream>
+
+#include <sys/resource.h>
 
 using namespace cuasmrl;
 using namespace cuasmrl::rl;
@@ -151,6 +154,141 @@ TEST(Autograd, ReusedNodeAccumulatesOnce) {
 }
 
 //===----------------------------------------------------------------------===//
+// conv1d: bit-identity against the textbook loops
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The textbook conv1d forward: one scalar accumulator per output,
+/// bounds-checked taps. Kept verbatim as the reference the vectorized
+/// kernels must match bit for bit.
+std::vector<float> referenceConv1d(const Tensor &X, const Tensor &W,
+                                   const Tensor &B) {
+  size_t Cin = X.shape()[0], L = X.shape()[1];
+  size_t Cout = W.shape()[0], K = W.shape()[2];
+  long Pad = static_cast<long>(K / 2);
+  std::vector<float> Data(Cout * L);
+  for (size_t O = 0; O < Cout; ++O) {
+    for (size_t P = 0; P < L; ++P) {
+      float Acc = B.data()[O];
+      for (size_t C = 0; C < Cin; ++C) {
+        const float *XRow = X.data().data() + C * L;
+        const float *WRow = W.data().data() + (O * Cin + C) * K;
+        for (size_t T = 0; T < K; ++T) {
+          long Pos = static_cast<long>(P) + static_cast<long>(T) - Pad;
+          if (Pos >= 0 && Pos < static_cast<long>(L))
+            Acc += WRow[T] * XRow[Pos];
+        }
+      }
+      Data[O * L + P] = Acc;
+    }
+  }
+  return Data;
+}
+
+/// Gradient buffers the reference backward accumulates into.
+struct RefGrads {
+  std::vector<float> X, W, B;
+};
+
+/// The textbook conv1d backward for upstream gradient \p G: per-position
+/// G == 0 skip, bounds-checked taps, input gradient always written.
+void referenceConv1dBackward(const std::vector<float> &G, const Tensor &X,
+                             const Tensor &W, RefGrads &Out) {
+  size_t Cin = X.shape()[0], L = X.shape()[1];
+  size_t Cout = W.shape()[0], K = W.shape()[2];
+  long Pad = static_cast<long>(K / 2);
+  for (size_t O = 0; O < Cout; ++O) {
+    for (size_t P = 0; P < L; ++P) {
+      float Gv = G[O * L + P];
+      if (Gv == 0.0f)
+        continue;
+      Out.B[O] += Gv;
+      for (size_t C = 0; C < Cin; ++C) {
+        float *XGrad = Out.X.data() + C * L;
+        const float *XRow = X.data().data() + C * L;
+        float *WGrad = Out.W.data() + (O * Cin + C) * K;
+        const float *WRow = W.data().data() + (O * Cin + C) * K;
+        for (size_t T = 0; T < K; ++T) {
+          long Pos = static_cast<long>(P) + static_cast<long>(T) - Pad;
+          if (Pos >= 0 && Pos < static_cast<long>(L)) {
+            WGrad[T] += Gv * XRow[Pos];
+            XGrad[Pos] += Gv * WRow[T];
+          }
+        }
+      }
+    }
+  }
+}
+
+/// Finite values with exact zeros of both signs and negatives mixed in.
+std::vector<float> mixedValues(Rng &R, size_t N) {
+  std::vector<float> V(N);
+  for (float &X : V) {
+    switch (R.uniformInt(6)) {
+    case 0:
+      X = 0.0f;
+      break;
+    case 1:
+      X = -0.0f;
+      break;
+    default:
+      X = static_cast<float>(R.normal());
+      break;
+    }
+  }
+  return V;
+}
+
+bool sameBits(const std::vector<float> &A, const std::vector<float> &B) {
+  return A.size() == B.size() &&
+         std::memcmp(A.data(), B.data(), A.size() * sizeof(float)) == 0;
+}
+
+} // namespace
+
+TEST(Conv1dReference, KernelsMatchTextbookLoopsBitForBit) {
+  Rng R(20251017);
+  for (size_t L : {1, 2, 3, 5, 72, 130})
+    for (size_t Cin : {1, 4, 17, 33})
+      for (size_t Cout : {1, 4, 16})
+        for (size_t K : {1, 3, 5})
+          for (bool InputGrad : {false, true}) {
+            SCOPED_TRACE(testing::Message()
+                         << "L=" << L << " Cin=" << Cin << " Cout=" << Cout
+                         << " K=" << K << " input grad=" << InputGrad);
+            Tensor W = Tensor::fromVector(mixedValues(R, Cout * Cin * K),
+                                          {Cout, Cin, K}, true);
+            Tensor B = Tensor::fromVector(mixedValues(R, Cout), {Cout}, true);
+            RefGrads Ref{{}, std::vector<float>(W.size(), 0.0f),
+                         std::vector<float>(B.size(), 0.0f)};
+            // Several backward passes accumulate into one set of
+            // parameter gradients, as the samples of a PPO minibatch do.
+            for (int Sample = 0; Sample < 3; ++Sample) {
+              Tensor X = Tensor::fromVector(mixedValues(R, Cin * L),
+                                            {Cin, L}, InputGrad);
+              Tensor Y = conv1d(X, W, B);
+              ASSERT_TRUE(sameBits(Y.data(), referenceConv1d(X, W, B)));
+
+              // relu masks the upstream gradient the way the net's
+              // activations do; Upstream adds both signs and zeros.
+              Tensor Upstream =
+                  Tensor::fromVector(mixedValues(R, Cout * L), {Cout, L});
+              sumT(mul(relu(Y), Upstream)).backward();
+              Ref.X.assign(X.size(), 0.0f);
+              referenceConv1dBackward(Y.grad(), X, W, Ref);
+              ASSERT_TRUE(sameBits(W.grad(), Ref.W));
+              ASSERT_TRUE(sameBits(B.grad(), Ref.B));
+              if (InputGrad)
+                ASSERT_TRUE(sameBits(X.grad(), Ref.X));
+              else
+                ASSERT_TRUE(
+                    sameBits(X.grad(), std::vector<float>(X.size(), 0.0f)));
+            }
+          }
+}
+
+//===----------------------------------------------------------------------===//
 // Optimizer
 //===----------------------------------------------------------------------===//
 
@@ -242,6 +380,167 @@ TEST(ActorCriticTest, LoadRejectsGarbage) {
   ActorCritic Net(C, R);
   std::istringstream IS("not a checkpoint");
   EXPECT_FALSE(Net.load(IS));
+}
+
+//===----------------------------------------------------------------------===//
+// Checkpoint decoder fuzzing: load() and loadCompatible()
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Byte layout of a saved checkpoint: magic, u32 tensor count, then per
+/// tensor a u32 dim count, u64 dims and the float data.
+constexpr size_t kCountOffset = 8;
+constexpr size_t kFirstDimsOffset = 12;
+constexpr size_t kFirstDimOffset = 16;
+
+NetConfig fuzzGeometry() {
+  NetConfig C;
+  C.Features = 5;
+  C.Length = 8;
+  C.Actions = 4;
+  C.Channels = 4;
+  C.Hidden = 8;
+  return C;
+}
+
+std::string saved(const ActorCritic &Net) {
+  std::ostringstream OS;
+  Net.save(OS);
+  return OS.str();
+}
+
+std::string paramBytes(const ActorCritic &Net) {
+  std::string Bytes;
+  for (const Tensor &P : Net.parameters())
+    Bytes.append(reinterpret_cast<const char *>(P.data().data()),
+                 P.size() * sizeof(float));
+  return Bytes;
+}
+
+template <typename T>
+std::string withField(std::string Blob, size_t Offset, T Value) {
+  std::memcpy(&Blob[Offset], &Value, sizeof(T));
+  return Blob;
+}
+
+/// Feeds \p Stream to both decoders of \p Net, whose live weights were
+/// saved as \p Good. A rejected stream must leave every parameter
+/// byte-identical; a stream load() accepts must re-save to itself.
+/// \returns how many of the two decoders accepted.
+int decodeBoth(ActorCritic &Net, const std::string &Stream,
+               const std::string &Good) {
+  const std::string Before = paramBytes(Net);
+  auto Restore = [&] {
+    std::istringstream IS(Good);
+    EXPECT_TRUE(Net.load(IS));
+  };
+  int Accepted = 0;
+  std::istringstream Strict(Stream);
+  if (Net.load(Strict)) {
+    ++Accepted;
+    EXPECT_EQ(saved(Net), Stream.substr(0, Good.size()));
+  } else {
+    EXPECT_EQ(paramBytes(Net), Before);
+  }
+  Restore();
+  std::istringstream Lenient(Stream);
+  if (Net.loadCompatible(Lenient) > 0)
+    ++Accepted;
+  else
+    EXPECT_EQ(paramBytes(Net), Before);
+  Restore();
+  return Accepted;
+}
+
+/// Peak resident set size of this process, in KiB. A high-water mark:
+/// its growth over a test bounds the test's allocations only when no
+/// earlier test in the process peaked higher. ctest runs one test per
+/// process; a whole-binary run reaches the hostile-claim test before
+/// the bit-flip test, the other one here that decodes hostile lengths.
+long peakRssKiB() {
+  rusage Usage{};
+  getrusage(RUSAGE_SELF, &Usage);
+  return Usage.ru_maxrss;
+}
+
+} // namespace
+
+TEST(CheckpointFuzz, EveryTruncationIsRejectedUnchanged) {
+  Rng R(5);
+  ActorCritic Net(fuzzGeometry(), R);
+  const std::string Good = saved(Net);
+  ASSERT_EQ(decodeBoth(Net, Good, Good), 2);
+  for (size_t Len = 0; Len < Good.size(); ++Len)
+    ASSERT_EQ(decodeBoth(Net, Good.substr(0, Len), Good), 0)
+        << "prefix of " << Len << " bytes";
+}
+
+TEST(CheckpointFuzz, HostileCountsAndDimensionsAreRejected) {
+  Rng R(7);
+  ActorCritic Net(fuzzGeometry(), R);
+  const std::string Good = saved(Net);
+  const long RssBefore = peakRssKiB();
+
+  for (uint32_t Count : {0u, 11u, 256u, 257u, 0xffffffffu})
+    EXPECT_EQ(decodeBoth(Net, withField(Good, kCountOffset, Count), Good), 0)
+        << "tensor count " << Count;
+  // Claiming one tensor too few leaves the last as trailing bytes: a
+  // well-formed 9-tensor checkpoint that only loadCompatible() takes.
+  EXPECT_EQ(decodeBoth(Net, withField(Good, kCountOffset, 9u), Good), 1);
+  for (uint32_t Dims : {0u, 2u, 9u, 0xffffffffu})
+    EXPECT_EQ(decodeBoth(Net, withField(Good, kFirstDimsOffset, Dims), Good),
+              0)
+        << "dim count " << Dims;
+  // Zero, just over the element bound, and values whose byte size
+  // overflows 64 bits.
+  for (uint64_t Dim : {uint64_t(0), (uint64_t(1) << 28) + 1, uint64_t(1) << 62,
+                       ~uint64_t(0)})
+    EXPECT_EQ(decodeBoth(Net, withField(Good, kFirstDimOffset, Dim), Good), 0)
+        << "first dim " << Dim;
+
+  // In-bound claims the stream cannot back: 2^28 floats (1 GiB) in one
+  // dim, and 2^14 x 2^14 over two dims. The stream ends long before.
+  std::string Header = Good.substr(0, kFirstDimsOffset);
+  std::string OneDim = withField(Header + std::string(12, '\0'),
+                                 kFirstDimsOffset, uint32_t(1));
+  OneDim = withField(OneDim, kFirstDimOffset, uint64_t(1) << 28);
+  std::string TwoDims = withField(Header + std::string(20, '\0'),
+                                  kFirstDimsOffset, uint32_t(2));
+  TwoDims = withField(TwoDims, kFirstDimOffset, uint64_t(1) << 14);
+  TwoDims = withField(TwoDims, kFirstDimOffset + 8, uint64_t(1) << 14);
+  for (const std::string &Claim : {OneDim, TwoDims}) {
+    EXPECT_EQ(decodeBoth(Net, Claim + std::string(4096, '\x7f'), Good), 0);
+    EXPECT_EQ(decodeBoth(Net, Claim, Good), 0);
+  }
+  // ...and none of them made the decoder allocate what it claimed.
+  EXPECT_LT(peakRssKiB() - RssBefore, 256 * 1024);
+}
+
+TEST(CheckpointFuzz, SeededBitFlipsNeverCorruptARejectingNet) {
+  Rng R(6);
+  ActorCritic Net(fuzzGeometry(), R);
+  const std::string Good = saved(Net);
+  Rng Flips(20251017);
+  unsigned Accepted = 0, Rejected = 0;
+  for (int Trial = 0; Trial < 4000; ++Trial) {
+    std::string Stream = Good;
+    // Most trials hit the header, where every field is load-bearing;
+    // the rest land anywhere, mostly in tensor data.
+    const size_t Span = Trial % 2 ? Stream.size() : kFirstDimOffset + 64;
+    const unsigned NumFlips = 1 + static_cast<unsigned>(Flips.uniformInt(4));
+    for (unsigned F = 0; F < NumFlips; ++F) {
+      const size_t Bit = Flips.uniformInt(Span * 8);
+      Stream[Bit / 8] = static_cast<char>(Stream[Bit / 8] ^ (1 << (Bit % 8)));
+    }
+    const int Took = decodeBoth(Net, Stream, Good);
+    ASSERT_FALSE(testing::Test::HasFailure()) << "trial " << Trial;
+    Accepted += Took;
+    Rejected += 2 - Took;
+  }
+  // Both outcomes were exercised.
+  EXPECT_GT(Accepted, 0u);
+  EXPECT_GT(Rejected, 0u);
 }
 
 //===----------------------------------------------------------------------===//
