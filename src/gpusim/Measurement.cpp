@@ -26,6 +26,13 @@ Measurement gpusim::measureKernel(Gpu &Device, const sass::Program &Prog,
                                   const KernelLaunch &Launch,
                                   const MeasureConfig &Config) {
   Measurement Out;
+  // The means below divide by the repeat count: zero must fail this
+  // measurement, not kill the process (integer division is SIGFPE).
+  if (Config.RepeatIters == 0) {
+    Out.Valid = false;
+    Out.FaultReason = "measurement needs at least one repeat iteration";
+    return Out;
+  }
   Rng Noise(Config.Seed);
 
   // Warmup: primes the caches exactly like the paper's 100 warmup

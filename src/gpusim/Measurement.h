@@ -57,7 +57,8 @@ struct Measurement {
 
 /// Times \p Prog on \p Device with the paper's warmup/repeat protocol.
 /// Decodes the program into a kernel image once, then reuses it across
-/// every warmup/repeat run.
+/// every warmup/repeat run. A config with zero repeat iterations gives
+/// an invalid measurement.
 ///
 /// Thread-safety: mutates \p Device (memory, cache state) — callers
 /// running concurrently must each own their device; concurrent calls

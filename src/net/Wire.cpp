@@ -180,6 +180,9 @@ void putMeasure(std::vector<uint8_t> &Out, const gpusim::MeasureConfig &M) {
 void takeMeasure(Cursor &C, gpusim::MeasureConfig &M) {
   M.WarmupIters = C.u32();
   M.RepeatIters = C.u32();
+  // A measurement averages over its repeats; zero measures nothing.
+  if (M.RepeatIters == 0)
+    C.fail("measure config with zero repeat iterations");
   M.ClearL2BetweenReps = C.boolean();
   M.NoiseStddev = C.f64();
   M.MaxBlocks = C.u32();

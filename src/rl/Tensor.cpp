@@ -5,11 +5,13 @@
 //===----------------------------------------------------------------------===//
 
 #include "rl/Tensor.h"
+#include "rl/Conv1dKernels.h"
 
 #include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 
 using namespace cuasmrl;
 using namespace cuasmrl::rl;
@@ -336,104 +338,397 @@ Tensor rl::linear(const Tensor &W, const Tensor &X, const Tensor &B) {
   return Tensor(N);
 }
 
+//===----------------------------------------------------------------------===//
+// conv1d kernels
+//
+// Each kernel is a register tile of Rows x 2 vectors whose 2 * Rows
+// accumulators stay live for a whole reduction; the tiles only choose
+// which elements are in flight at once. Every element still receives
+// exactly the float operations of the textbook loops, in the same
+// order: per output, the bias, then its taps in (C, T) order; per
+// weight or bias gradient, the positions in ascending order; per input
+// gradient, (O, P) in ascending order. docs/TRAINING.md spells out why
+// the liberties the backward takes (no G == 0 skip, zeros read for
+// out-of-range taps) are exact, and why the forward takes none.
+//===----------------------------------------------------------------------===//
+
 namespace {
 
-/// Output positions [Lo, Hi) at which tap \p T of a same-padded kernel
-/// reads an in-range input position P + T - Pad. Empty when Lo >= Hi.
+using detail::Conv1dShape;
+
+/// Taps [Lo, Hi) that read an in-range input position P + T - Pad at
+/// output position \p P. Empty when Lo >= Hi.
 struct TapRange {
   size_t Lo, Hi;
 };
 
-TapRange tapRange(size_t T, size_t Pad, size_t L) {
-  size_t Lo = T < Pad ? Pad - T : 0;
-  size_t Shift = T > Pad ? T - Pad : 0;
-  return {Lo, L > Shift ? L - Shift : 0};
+TapRange tapsAt(size_t P, size_t Pad, size_t K, size_t L) {
+  return {P < Pad ? Pad - P : 0, std::min(K, L + Pad - P)};
 }
 
-} // namespace
+/// Floats per copy when the weight gradient gathers its input windows.
+constexpr size_t Run = 8;
 
-// Every loop below gives each element exactly the float operations of
-// the textbook loops, in the same order (per output: bias, then taps in
-// (C, T) order; per weight or bias gradient: positions in ascending
-// order; per input gradient: (O, P) in ascending order). The innermost
-// loops run over independent elements, so they vectorize without
-// reassociating any sum. docs/TRAINING.md spells out why the two
-// liberties the backward takes (no G == 0 skip, zeros read for
-// out-of-range taps) are exact.
-Tensor rl::conv1d(const Tensor &X, const Tensor &W, const Tensor &B) {
-  assert(X.shape().size() == 2 && W.shape().size() == 3);
-  size_t Cin = X.shape()[0], L = X.shape()[1];
-  size_t Cout = W.shape()[0], K = W.shape()[2];
-  assert(W.shape()[1] == Cin && B.size() == Cout && K % 2 == 1);
-  size_t Pad = K / 2;
+/// \p N rounded up to a whole number of \p Span-wide tiles.
+size_t roundUp(size_t N, size_t Span) { return (N + Span - 1) / Span * Span; }
 
-  auto N = makeNode({Cout, L}, {X.node(), W.node(), B.node()});
-  for (size_t O = 0; O < Cout; ++O) {
-    float *Out = N->Data.data() + O * L;
-    std::fill(Out, Out + L, B.data()[O]);
-    for (size_t C = 0; C < Cin; ++C) {
-      const float *XRow = X.data().data() + C * L;
-      const float *WRow = W.data().data() + (O * Cin + C) * K;
-      for (size_t T = 0; T < K; ++T) {
-        const float Wt = WRow[T];
-        const TapRange R = tapRange(T, Pad, L);
-        for (size_t P = R.Lo; P < R.Hi; ++P)
-          Out[P] += Wt * XRow[P + T - Pad];
+/// BGrad[O] += G[O][P] over ascending P.
+void biasGrad(const Conv1dShape &S, const float *G, float *BGrad) {
+  for (size_t P = 0; P < S.L; ++P)
+    for (size_t O = 0; O < S.Cout; ++O)
+      BGrad[O] += G[O * S.L + P];
+}
+
+// The tiles below are templates over a GCC vector type V and are
+// always inlined, so each instantiation compiles for the ISA of the
+// entry point that calls it. Vectors move through memcpy and
+// references: a 32-byte vector passed or returned by value from code
+// built without AVX changes the ABI (-Wpsabi). A broadcast of a scalar
+// b is written `b - V{}` or as a scalar-vector operation, never
+// `V{} + b`, which turns a -0 scalar into +0.
+
+template <typename V> constexpr size_t lanes() {
+  return sizeof(V) / sizeof(float);
+}
+
+template <typename V>
+[[gnu::always_inline]] inline void load(V &Out, const float *P) {
+  std::memcpy(&Out, P, sizeof(V));
+}
+
+template <typename V>
+[[gnu::always_inline]] inline void store(float *P, const V &In) {
+  std::memcpy(P, &In, sizeof(V));
+}
+
+/// Output channels [O, O + Rows) at positions [P, P + 2 * lanes), all of
+/// whose taps are in range.
+template <typename V, size_t Rows>
+[[gnu::always_inline]] inline void
+forwardTile(const Conv1dShape &S, const float *X, const float *W,
+            const float *B, float *Out, size_t O, size_t P) {
+  constexpr size_t N = lanes<V>();
+  const size_t Taps = S.Cin * S.K, Pad = S.K / 2;
+  V Acc[Rows][2] = {};
+  for (size_t R = 0; R < Rows; ++R) {
+    Acc[R][0] = B[O + R] - V{};
+    Acc[R][1] = Acc[R][0];
+  }
+  for (size_t C = 0; C < S.Cin; ++C) {
+    const float *XRow = X + C * S.L + P - Pad;
+    const float *WTap = W + O * Taps + C * S.K;
+    for (size_t T = 0; T < S.K; ++T) {
+      V X0 = {}, X1 = {};
+      load(X0, XRow + T);
+      load(X1, XRow + T + N);
+      for (size_t R = 0; R < Rows; ++R) {
+        const float Wt = WTap[R * Taps + T];
+        Acc[R][0] += Wt * X0;
+        Acc[R][1] += Wt * X1;
       }
     }
   }
+  for (size_t R = 0; R < Rows; ++R) {
+    store(Out + (O + R) * S.L + P, Acc[R][0]);
+    store(Out + (O + R) * S.L + P + N, Acc[R][1]);
+  }
+}
+
+/// The forward at output positions [Lo, Hi), with bounds-checked taps,
+/// vectorized over output channels: WT is W transposed to
+/// [Cin * K, Width] and BP is B, both zero-padded to Width, a whole
+/// number of vectors.
+template <typename V>
+[[gnu::always_inline]] inline void
+forwardEdges(const Conv1dShape &S, const float *X, const float *WT,
+             const float *BP, size_t Width, float *Out, size_t Lo,
+             size_t Hi) {
+  constexpr size_t N = lanes<V>();
+  const size_t Pad = S.K / 2;
+  for (size_t P = Lo; P < Hi; ++P) {
+    const TapRange R = tapsAt(P, Pad, S.K, S.L);
+    for (size_t J = 0; J < Width; J += N) {
+      V Acc = {};
+      load(Acc, BP + J);
+      for (size_t C = 0; C < S.Cin; ++C)
+        for (size_t T = R.Lo; T < R.Hi; ++T) {
+          V Wv = {};
+          load(Wv, WT + (C * S.K + T) * Width + J);
+          Acc += Wv * X[C * S.L + P + T - Pad];
+        }
+      float Col[N] = {};
+      store(Col, Acc);
+      for (size_t O = J; O < std::min(J + N, S.Cout); ++O)
+        Out[O * S.L + P] = Col[O - J];
+    }
+  }
+}
+
+/// Tiles cover the interior positions [Pad, L - Pad), where every tap is
+/// in range; the last tile shifts left to end at L - Pad. Outputs are
+/// stored, not accumulated, so a position two tiles cover gets the same
+/// value twice. The 2 * Pad edge positions, or every position of a row
+/// too short for one tile, take bounds-checked loops: the forward may
+/// not read zeros for out-of-range taps, because its sums start at a
+/// bias that may be -0.
+template <typename V>
+[[gnu::always_inline]] inline void forwardKernel(const Conv1dShape &S,
+                                                 const float *X,
+                                                 const float *W,
+                                                 const float *B, float *Out) {
+  constexpr size_t N = lanes<V>(), Span = 2 * N;
+  const size_t Taps = S.Cin * S.K, Pad = S.K / 2;
+  const size_t Width = roundUp(S.Cout, N);
+  std::vector<float> WT(Taps * Width, 0.0f), BP(Width, 0.0f);
+  std::copy(B, B + S.Cout, BP.begin());
+  for (size_t O = 0; O < S.Cout; ++O)
+    for (size_t I = 0; I < Taps; ++I)
+      WT[I * Width + O] = W[O * Taps + I];
+  if (S.L < 2 * Pad + Span) {
+    forwardEdges<V>(S, X, WT.data(), BP.data(), Width, Out, 0, S.L);
+    return;
+  }
+  const size_t Last = S.L - Pad - Span;
+  for (size_t P = Pad;; P += Span) {
+    const size_t At = std::min(P, Last);
+    size_t O = 0;
+    for (; O + 4 <= S.Cout; O += 4)
+      forwardTile<V, 4>(S, X, W, B, Out, O, At);
+    for (; O < S.Cout; ++O)
+      forwardTile<V, 1>(S, X, W, B, Out, O, At);
+    if (At == Last)
+      break;
+  }
+  forwardEdges<V>(S, X, WT.data(), BP.data(), Width, Out, 0, Pad);
+  forwardEdges<V>(S, X, WT.data(), BP.data(), Width, Out, S.L - Pad, S.L);
+}
+
+/// Weight-gradient rows [O, O + Rows), columns [I, I + 2 * lanes): each
+/// column gains G times its Window column, position by position.
+template <typename V, size_t Rows>
+[[gnu::always_inline]] inline void
+paramGradTile(size_t L, size_t Stride, const float *G, const float *Window,
+              float *Staged, size_t O, size_t I) {
+  constexpr size_t N = lanes<V>();
+  V Acc[Rows][2] = {};
+  for (size_t R = 0; R < Rows; ++R) {
+    load(Acc[R][0], Staged + (O + R) * Stride + I);
+    load(Acc[R][1], Staged + (O + R) * Stride + I + N);
+  }
+  for (size_t P = 0; P < L; ++P) {
+    V W0 = {}, W1 = {};
+    load(W0, Window + P * Stride + I);
+    load(W1, Window + P * Stride + I + N);
+    for (size_t R = 0; R < Rows; ++R) {
+      const float Gv = G[(O + R) * L + P];
+      Acc[R][0] += Gv * W0;
+      Acc[R][1] += Gv * W1;
+    }
+  }
+  for (size_t R = 0; R < Rows; ++R) {
+    store(Staged + (O + R) * Stride + I, Acc[R][0]);
+    store(Staged + (O + R) * Stride + I + N, Acc[R][1]);
+  }
+}
+
+/// Row P of Window holds what every (input channel, tap) reads at output
+/// position P, laid out like a [Cin, K] weight row, with zeros for
+/// out-of-range taps and zero columns up to a whole number of tiles.
+/// The weight-gradient rows are staged at the same stride, so no column
+/// is left over, and copied back afterwards.
+template <typename V>
+[[gnu::always_inline]] inline void
+paramGradKernel(const Conv1dShape &S, const float *G, const float *X,
+                float *WGrad, float *BGrad) {
+  constexpr size_t Span = 2 * lanes<V>();
+  const size_t Taps = S.Cin * S.K, Pad = S.K / 2;
+  const size_t Stride = roundUp(Taps, Span);
+  std::vector<float> Window(S.L * Stride, 0.0f);
+  for (size_t P = 0; P < S.L; ++P) {
+    const TapRange R = tapsAt(P, Pad, S.K, S.L);
+    float *Row = Window.data() + P * Stride;
+    for (size_t C = 0; C < S.Cin; ++C) {
+      // A run of K in-range taps is copied as Run floats at once when
+      // source and row have room; the next channel's run overwrites
+      // the excess.
+      if (R.Lo == 0 && R.Hi == S.K && S.K <= Run && C * S.K + Run <= Taps &&
+          C * S.L + P - Pad + Run <= S.Cin * S.L) {
+        std::memcpy(Row + C * S.K, X + C * S.L + P - Pad, Run * sizeof(float));
+        continue;
+      }
+      for (size_t T = R.Lo; T < R.Hi; ++T)
+        Row[C * S.K + T] = X[C * S.L + P + T - Pad];
+    }
+  }
+  std::vector<float> Staged(S.Cout * Stride, 0.0f);
+  for (size_t O = 0; O < S.Cout; ++O)
+    std::copy(WGrad + O * Taps, WGrad + (O + 1) * Taps,
+              Staged.begin() + O * Stride);
+  for (size_t I = 0; I < Stride; I += Span) {
+    size_t O = 0;
+    for (; O + 4 <= S.Cout; O += 4)
+      paramGradTile<V, 4>(S.L, Stride, G, Window.data(), Staged.data(), O, I);
+    for (; O < S.Cout; ++O)
+      paramGradTile<V, 1>(S.L, Stride, G, Window.data(), Staged.data(), O, I);
+  }
+  for (size_t O = 0; O < S.Cout; ++O)
+    std::copy(Staged.begin() + O * Stride, Staged.begin() + O * Stride + Taps,
+              WGrad + O * Taps);
+  biasGrad(S, G, BGrad);
+}
+
+/// Input-gradient rows [C, C + Rows), positions [Q, Q + 2 * lanes): per
+/// output channel, taps in descending order, so each position gets its
+/// terms in ascending output-position order.
+template <typename V, size_t Rows>
+[[gnu::always_inline]] inline void
+inputGradTile(const Conv1dShape &S, size_t Stride, const float *GPad,
+              const float *W, float *Staged, size_t C, size_t Q) {
+  constexpr size_t N = lanes<V>();
+  const size_t Taps = S.Cin * S.K, GStride = Stride + S.K - 1;
+  V Acc[Rows][2] = {};
+  for (size_t R = 0; R < Rows; ++R) {
+    load(Acc[R][0], Staged + (C + R) * Stride + Q);
+    load(Acc[R][1], Staged + (C + R) * Stride + Q + N);
+  }
+  for (size_t O = 0; O < S.Cout; ++O) {
+    // Tap T reads output position Q + Pad - T, which GPad holds at
+    // Q + 2 * Pad - T = Q + K - 1 - T.
+    const float *GRow = GPad + O * GStride + Q + S.K - 1;
+    const float *WTap = W + O * Taps + C * S.K;
+    for (size_t T = S.K; T-- > 0;) {
+      V G0 = {}, G1 = {};
+      load(G0, GRow - T);
+      load(G1, GRow - T + N);
+      for (size_t R = 0; R < Rows; ++R) {
+        const float Wt = WTap[R * S.K + T];
+        Acc[R][0] += G0 * Wt;
+        Acc[R][1] += G1 * Wt;
+      }
+    }
+  }
+  for (size_t R = 0; R < Rows; ++R) {
+    store(Staged + (C + R) * Stride + Q, Acc[R][0]);
+    store(Staged + (C + R) * Stride + Q + N, Acc[R][1]);
+  }
+}
+
+/// GPad holds each row of G with K - 1 zeros around it (Pad on each
+/// side) and zero columns up to a whole number of tiles, so every tap of
+/// every position reads in bounds. The input-gradient rows are staged at
+/// the tile stride and copied back afterwards.
+template <typename V>
+[[gnu::always_inline]] inline void inputGradKernel(const Conv1dShape &S,
+                                                   const float *G,
+                                                   const float *W,
+                                                   float *XGrad) {
+  constexpr size_t Span = 2 * lanes<V>();
+  const size_t Pad = S.K / 2;
+  const size_t Stride = roundUp(S.L, Span), GStride = Stride + S.K - 1;
+  std::vector<float> GPad(S.Cout * GStride, 0.0f);
+  for (size_t O = 0; O < S.Cout; ++O)
+    std::copy(G + O * S.L, G + (O + 1) * S.L,
+              GPad.begin() + O * GStride + Pad);
+  std::vector<float> Staged(S.Cin * Stride, 0.0f);
+  for (size_t C = 0; C < S.Cin; ++C)
+    std::copy(XGrad + C * S.L, XGrad + (C + 1) * S.L,
+              Staged.begin() + C * Stride);
+  for (size_t Q = 0; Q < Stride; Q += Span) {
+    size_t C = 0;
+    for (; C + 4 <= S.Cin; C += 4)
+      inputGradTile<V, 4>(S, Stride, GPad.data(), W, Staged.data(), C, Q);
+    for (; C < S.Cin; ++C)
+      inputGradTile<V, 1>(S, Stride, GPad.data(), W, Staged.data(), C, Q);
+  }
+  for (size_t C = 0; C < S.Cin; ++C)
+    std::copy(Staged.begin() + C * Stride, Staged.begin() + C * Stride + S.L,
+              XGrad + C * S.L);
+}
+
+typedef float Vec16 __attribute__((vector_size(16)));
+
+void forward16(const Conv1dShape &S, const float *X, const float *W,
+               const float *B, float *Out) {
+  forwardKernel<Vec16>(S, X, W, B, Out);
+}
+void paramGrad16(const Conv1dShape &S, const float *G, const float *X,
+                 float *WGrad, float *BGrad) {
+  paramGradKernel<Vec16>(S, G, X, WGrad, BGrad);
+}
+void inputGrad16(const Conv1dShape &S, const float *G, const float *W,
+                 float *XGrad) {
+  inputGradKernel<Vec16>(S, G, W, XGrad);
+}
+const detail::Conv1dKernels Kernels16 = {"16-byte", forward16, paramGrad16,
+                                         inputGrad16};
+
+#if defined(__x86_64__)
+// AVX2 only: no FMA, which would fuse each multiply-add into one
+// rounding. The build pins -ffp-contract=off for the same reason.
+typedef float Vec32 __attribute__((vector_size(32)));
+
+__attribute__((target("avx2"))) void forward32(const Conv1dShape &S,
+                                               const float *X, const float *W,
+                                               const float *B, float *Out) {
+  forwardKernel<Vec32>(S, X, W, B, Out);
+}
+__attribute__((target("avx2"))) void paramGrad32(const Conv1dShape &S,
+                                                 const float *G,
+                                                 const float *X, float *WGrad,
+                                                 float *BGrad) {
+  paramGradKernel<Vec32>(S, G, X, WGrad, BGrad);
+}
+__attribute__((target("avx2"))) void
+inputGrad32(const Conv1dShape &S, const float *G, const float *W,
+            float *XGrad) {
+  inputGradKernel<Vec32>(S, G, W, XGrad);
+}
+const detail::Conv1dKernels Kernels32 = {"32-byte (AVX2)", forward32,
+                                         paramGrad32, inputGrad32};
+
+bool cpuHasAvx2() {
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("avx2");
+}
+#endif
+
+} // namespace
+
+const detail::Conv1dKernels &detail::conv1dKernels() {
+  static const Conv1dKernels &Dispatched = *executableConv1dKernels().back();
+  return Dispatched;
+}
+
+std::vector<const detail::Conv1dKernels *>
+detail::executableConv1dKernels() {
+  std::vector<const Conv1dKernels *> Sets = {&Kernels16};
+#if defined(__x86_64__)
+  if (cpuHasAvx2())
+    Sets.push_back(&Kernels32);
+#endif
+  return Sets;
+}
+
+Tensor rl::conv1d(const Tensor &X, const Tensor &W, const Tensor &B) {
+  assert(X.shape().size() == 2 && W.shape().size() == 3);
+  const Conv1dShape S{X.shape()[0], W.shape()[0], X.shape()[1],
+                      W.shape()[2]};
+  assert(W.shape()[1] == S.Cin && B.size() == S.Cout && S.K % 2 == 1);
+  const detail::Conv1dKernels *Kernels = &detail::conv1dKernels();
+
+  auto N = makeNode({S.Cout, S.L}, {X.node(), W.node(), B.node()});
+  Kernels->Forward(S, X.data().data(), W.data().data(), B.data().data(),
+                   N->Data.data());
   auto Xn = X.node(), Wn = W.node(), Bn = B.node();
   std::weak_ptr<TensorNode> Self = N;
-  N->Backward = [Xn, Wn, Bn, Self, Cin, Cout, L, K, Pad] {
-    auto S = Self.lock();
-    const float *G = S->Grad.data();
-
-    // Weight and bias gradients. Row P of Window holds what every
-    // (input channel, tap) reads at output position P, laid out like a
-    // weight row [Cin, K], with zeros where the tap is out of range.
-    // Each output channel's weight-gradient row then gains G times one
-    // Window row per position, in ascending P.
-    const size_t Taps = Cin * K;
-    std::vector<float> Window(L * Taps, 0.0f);
-    for (size_t C = 0; C < Cin; ++C) {
-      const float *XRow = Xn->Data.data() + C * L;
-      for (size_t T = 0; T < K; ++T) {
-        const TapRange R = tapRange(T, Pad, L);
-        for (size_t P = R.Lo; P < R.Hi; ++P)
-          Window[P * Taps + C * K + T] = XRow[P + T - Pad];
-      }
-    }
-    for (size_t O = 0; O < Cout; ++O) {
-      const float *GRow = G + O * L;
-      float *WGrad = Wn->Grad.data() + O * Taps;
-      float BGrad = Bn->Grad[O];
-      for (size_t P = 0; P < L; ++P) {
-        const float Gv = GRow[P];
-        const float *Win = Window.data() + P * Taps;
-        BGrad += Gv;
-        for (size_t I = 0; I < Taps; ++I)
-          WGrad[I] += Gv * Win[I];
-      }
-      Bn->Grad[O] = BGrad;
-    }
-
-    // Input gradient: descending taps give every input position its
-    // contributions in ascending output-position order.
-    if (!Xn->RequiresGrad)
-      return;
-    for (size_t O = 0; O < Cout; ++O) {
-      const float *GRow = G + O * L;
-      for (size_t C = 0; C < Cin; ++C) {
-        float *XGrad = Xn->Grad.data() + C * L;
-        const float *WRow = Wn->Data.data() + (O * Cin + C) * K;
-        for (size_t T = K; T-- > 0;) {
-          const float Wt = WRow[T];
-          const TapRange R = tapRange(T, Pad, L);
-          for (size_t P = R.Lo; P < R.Hi; ++P)
-            XGrad[P + T - Pad] += GRow[P] * Wt;
-        }
-      }
-    }
+  N->Backward = [Xn, Wn, Bn, Self, S, Kernels] {
+    auto Node = Self.lock();
+    const float *G = Node->Grad.data();
+    Kernels->ParamGrad(S, G, Xn->Data.data(), Wn->Grad.data(),
+                       Bn->Grad.data());
+    // conv1's input is the observation, which needs no gradient.
+    if (Xn->RequiresGrad)
+      Kernels->InputGrad(S, G, Wn->Data.data(), Xn->Grad.data());
   };
   return Tensor(N);
 }

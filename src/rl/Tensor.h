@@ -105,8 +105,9 @@ Tensor gather(const Tensor &A, size_t Index); ///< 1-D pick -> scalar
 Tensor linear(const Tensor &W, const Tensor &X, const Tensor &B);
 /// Same-padded 1-D convolution: X [Cin, L], W [Cout, Cin, K], B [Cout]
 /// -> [Cout, L]. K must be odd. Outputs and gradients are bit-identical
-/// to the textbook scalar loops (docs/TRAINING.md, PPO section); the
-/// input gradient is computed only when X requires grad.
+/// to the textbook scalar loops, and so identical on every ISA, whichever
+/// SIMD width the CPU lets it dispatch to (docs/TRAINING.md, PPO
+/// section); the input gradient is computed only when X requires grad.
 Tensor conv1d(const Tensor &X, const Tensor &W, const Tensor &B);
 /// Mean over the length axis: [C, L] -> [C].
 Tensor meanPool(const Tensor &X);

@@ -488,6 +488,17 @@ TEST(Measure, SeededReproducible) {
   EXPECT_DOUBLE_EQ(A.MeanUs, B.MeanUs);
 }
 
+TEST(Measure, ZeroRepeatItersIsInvalidNotFatal) {
+  // The means divide by the repeat count; zero used to raise SIGFPE.
+  VecAddSetup S(32);
+  sass::Program P = parseOrDie(VecAddText, "vecadd");
+  MeasureConfig C;
+  C.RepeatIters = 0;
+  Measurement M = measureKernel(S.Device, P, S.Launch, C);
+  EXPECT_FALSE(M.Valid);
+  EXPECT_FALSE(M.FaultReason.empty());
+}
+
 TEST(Measure, InvalidScheduleReported) {
   // Branch to a missing label faults.
   Gpu Device;

@@ -725,6 +725,41 @@ TEST(NetServerTest, ZeroMiniBatchesConfigIsAnsweredNotFatal) {
   Service.shutdown();
 }
 
+TEST(NetServerTest, ZeroRepeatItersConfigIsAnsweredNotFatal) {
+  // Both measurement configs in a client's config block would reach
+  // measureKernel, which averages over RepeatIters: zero used to divide
+  // by zero and take the whole server down with SIGFPE. The decoder
+  // now refuses it.
+  gpusim::Gpu Device;
+  OptimizationService Service(Device, tinyService(/*Workers=*/1));
+  Server Srv(Service, ServerConfig{});
+  Expected<uint16_t> Port = Srv.start();
+  ASSERT_TRUE(static_cast<bool>(Port));
+  ClientConfig CC;
+  CC.Port = *Port;
+  Client Cli(CC);
+
+  for (bool Autotune : {true, false}) {
+    SCOPED_TRACE(Autotune ? "AutotuneMeasure" : "Game.Measure");
+    OptimizeRequest Hostile = request(WorkloadKind::Softmax);
+    Hostile.Config = tinyConfig();
+    (Autotune ? Hostile.Config->AutotuneMeasure : Hostile.Config->Game.Measure)
+        .RepeatIters = 0;
+    Expected<WireResponse> R = Cli.call(Hostile);
+    ASSERT_TRUE(static_cast<bool>(R)) << R.error().message();
+    EXPECT_EQ(R->St, WireStatus::InvalidRequest);
+    EXPECT_NE(R->Error.find("repeat iterations"), std::string::npos)
+        << R->Error;
+  }
+
+  // The server is still up for everyone else.
+  Expected<WireResponse> Next = Cli.call(request(WorkloadKind::RmsNorm));
+  ASSERT_TRUE(static_cast<bool>(Next)) << Next.error().message();
+  EXPECT_EQ(Next->St, WireStatus::Optimized);
+  Srv.stop();
+  Service.shutdown();
+}
+
 //===----------------------------------------------------------------------===//
 // Server: admission quotas
 //===----------------------------------------------------------------------===//

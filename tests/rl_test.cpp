@@ -6,6 +6,7 @@
 
 #include "rl/ActorCritic.h"
 #include "rl/Adam.h"
+#include "rl/Conv1dKernels.h"
 #include "rl/Ppo.h"
 #include "rl/RolloutRunner.h"
 #include "rl/Tensor.h"
@@ -14,6 +15,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <sstream>
 
@@ -248,8 +250,14 @@ bool sameBits(const std::vector<float> &A, const std::vector<float> &B) {
 } // namespace
 
 TEST(Conv1dReference, KernelsMatchTextbookLoopsBitForBit) {
+  // conv1d runs the dispatched instantiation through the tape; every
+  // instantiation this CPU can execute is also called directly. The
+  // lengths leave tile remainders at both vector widths, 92 being the
+  // mean instruction count of a cold job.
+  const std::vector<const detail::Conv1dKernels *> Sets =
+      detail::executableConv1dKernels();
   Rng R(20251017);
-  for (size_t L : {1, 2, 3, 5, 72, 130})
+  for (size_t L : {1, 2, 3, 5, 17, 40, 72, 92, 97, 130})
     for (size_t Cin : {1, 4, 17, 33})
       for (size_t Cout : {1, 4, 16})
         for (size_t K : {1, 3, 5})
@@ -257,18 +265,27 @@ TEST(Conv1dReference, KernelsMatchTextbookLoopsBitForBit) {
             SCOPED_TRACE(testing::Message()
                          << "L=" << L << " Cin=" << Cin << " Cout=" << Cout
                          << " K=" << K << " input grad=" << InputGrad);
+            const detail::Conv1dShape Shape{Cin, Cout, L, K};
             Tensor W = Tensor::fromVector(mixedValues(R, Cout * Cin * K),
                                           {Cout, Cin, K}, true);
             Tensor B = Tensor::fromVector(mixedValues(R, Cout), {Cout}, true);
             RefGrads Ref{{}, std::vector<float>(W.size(), 0.0f),
                          std::vector<float>(B.size(), 0.0f)};
+            // Each instantiation, called directly, accumulates its own
+            // parameter gradients.
+            std::vector<RefGrads> Direct(Sets.size());
+            for (RefGrads &D : Direct) {
+              D.W.assign(W.size(), 0.0f);
+              D.B.assign(B.size(), 0.0f);
+            }
             // Several backward passes accumulate into one set of
             // parameter gradients, as the samples of a PPO minibatch do.
             for (int Sample = 0; Sample < 3; ++Sample) {
               Tensor X = Tensor::fromVector(mixedValues(R, Cin * L),
                                             {Cin, L}, InputGrad);
               Tensor Y = conv1d(X, W, B);
-              ASSERT_TRUE(sameBits(Y.data(), referenceConv1d(X, W, B)));
+              const std::vector<float> Expected = referenceConv1d(X, W, B);
+              ASSERT_TRUE(sameBits(Y.data(), Expected));
 
               // relu masks the upstream gradient the way the net's
               // activations do; Upstream adds both signs and zeros.
@@ -284,8 +301,98 @@ TEST(Conv1dReference, KernelsMatchTextbookLoopsBitForBit) {
               else
                 ASSERT_TRUE(
                     sameBits(X.grad(), std::vector<float>(X.size(), 0.0f)));
+
+              // Called directly, the input gradient starts from a sum
+              // already in the buffer (never -0, like every gradient);
+              // only FromStart.X is compared.
+              std::vector<float> XStart = mixedValues(R, X.size());
+              for (float &V : XStart)
+                V = V == 0.0f ? 0.0f : V;
+              RefGrads FromStart{XStart, std::vector<float>(W.size()),
+                                 std::vector<float>(B.size())};
+              referenceConv1dBackward(Y.grad(), X, W, FromStart);
+              for (size_t I = 0; I < Sets.size(); ++I) {
+                SCOPED_TRACE(Sets[I]->Name);
+                std::vector<float> Out(Y.size(),
+                                       std::numeric_limits<float>::quiet_NaN());
+                Sets[I]->Forward(Shape, X.data().data(), W.data().data(),
+                                 B.data().data(), Out.data());
+                ASSERT_TRUE(sameBits(Out, Expected));
+                Sets[I]->ParamGrad(Shape, Y.grad().data(), X.data().data(),
+                                   Direct[I].W.data(), Direct[I].B.data());
+                ASSERT_TRUE(sameBits(Direct[I].W, Ref.W));
+                ASSERT_TRUE(sameBits(Direct[I].B, Ref.B));
+                Direct[I].X = XStart;
+                Sets[I]->InputGrad(Shape, Y.grad().data(), W.data().data(),
+                                   Direct[I].X.data());
+                ASSERT_TRUE(sameBits(Direct[I].X, FromStart.X));
+              }
             }
           }
+}
+
+namespace {
+
+/// Succeeds when every element is +0; otherwise prints the first that
+/// is not.
+testing::AssertionResult allPositiveZero(const std::vector<float> &V) {
+  for (float F : V)
+    if (F != 0.0f || std::signbit(F)) {
+      std::ostringstream OS;
+      OS << std::hexfloat << F;
+      return testing::AssertionFailure() << OS.str();
+    }
+  return testing::AssertionSuccess();
+}
+
+} // namespace
+
+TEST(FpContraction, LinearAndConv1dRoundEveryProduct) {
+  // (1 + 2^-12)^2 = 1 + 2^-11 + 2^-24 rounds to 1 + 2^-11, which the
+  // bias cancels exactly, giving +0. A fused multiply-add rounds once,
+  // after the add, and keeps the 2^-24.
+  const float V = 1.0f + std::ldexp(1.0f, -12);
+  const float Bias = -(1.0f + std::ldexp(1.0f, -11));
+
+  // linear: the forward, then the weight and input gradients for an
+  // upstream gradient of V into buffers that already hold Bias.
+  Tensor W = Tensor::fromVector({V}, {1, 1}, true);
+  Tensor X = Tensor::fromVector({V}, {1}, true);
+  Tensor B = Tensor::fromVector({Bias}, {1}, true);
+  Tensor Y = linear(W, X, B);
+  EXPECT_TRUE(allPositiveZero(Y.data()));
+  W.grad()[0] = Bias;
+  X.grad()[0] = Bias;
+  sumT(mul(Y, Tensor::fromVector({V}, {1}))).backward();
+  EXPECT_TRUE(allPositiveZero(W.grad()));
+  EXPECT_TRUE(allPositiveZero(X.grad()));
+
+  // conv1d: channel O reads channel O through the centre tap (weight V)
+  // and every other tap is 0. L = 40 leaves whole tiles, a shifted tile
+  // and edges at both vector widths.
+  const detail::Conv1dShape S{4, 4, 40, 3};
+  std::vector<float> CW(S.Cout * S.Cin * S.K, 0.0f);
+  for (size_t O = 0; O < S.Cout; ++O)
+    CW[(O * S.Cin + O) * S.K + 1] = V;
+  const std::vector<float> CX(S.Cin * S.L, V), CB(S.Cout, Bias);
+  // One position's gradient for the weights; every position's for the
+  // input, whose gradient sees only the centre tap's weight.
+  std::vector<float> GOne(S.Cout * S.L, 0.0f);
+  for (size_t O = 0; O < S.Cout; ++O)
+    GOne[O * S.L + 20] = V;
+  const std::vector<float> GAll(S.Cout * S.L, V);
+  for (const detail::Conv1dKernels *Set : detail::executableConv1dKernels()) {
+    SCOPED_TRACE(Set->Name);
+    std::vector<float> Out(S.Cout * S.L);
+    Set->Forward(S, CX.data(), CW.data(), CB.data(), Out.data());
+    EXPECT_TRUE(allPositiveZero(Out));
+    std::vector<float> WGrad(CW.size(), Bias), BGrad(S.Cout, 0.0f);
+    Set->ParamGrad(S, GOne.data(), CX.data(), WGrad.data(), BGrad.data());
+    EXPECT_TRUE(allPositiveZero(WGrad));
+    std::vector<float> XGrad(CX.size(), Bias);
+    Set->InputGrad(S, GAll.data(), CW.data(), XGrad.data());
+    EXPECT_TRUE(allPositiveZero(XGrad));
+  }
 }
 
 //===----------------------------------------------------------------------===//
