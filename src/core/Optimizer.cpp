@@ -12,9 +12,7 @@
 
 #include <algorithm>
 #include <memory>
-#include <optional>
 #include <sstream>
-#include <thread>
 
 using namespace cuasmrl;
 using namespace cuasmrl::core;
@@ -23,10 +21,10 @@ Optimizer::Optimizer(OptimizeConfig C) : Config(std::move(C)) {}
 
 namespace {
 
-/// The post-training tail shared by optimizeSchedule() and
-/// optimizeMany(): best-schedule selection across \p Adapters, the
-/// deterministic greedy replay (§5.7), measurement-cost accounting and
-/// the probabilistic test — all scoped to ONE workload's game pool.
+/// The post-training tail of one workload: best-schedule selection
+/// across \p Adapters, the deterministic greedy replay (§5.7),
+/// measurement-cost accounting and the probabilistic test — all scoped
+/// to ONE workload's game pool.
 void finishWorkload(const OptimizeConfig &Config, gpusim::Gpu &Device,
                     const kernels::BuiltKernel &Kernel,
                     rl::PpoTrainer &Trainer,
@@ -93,115 +91,13 @@ OptimizeResult Optimizer::optimize(gpusim::Gpu &Device,
                                    const support::CancelToken *Cancel,
                                    const std::string *WarmStartPolicy,
                                    const std::string &GpuType) const {
-  // Level 1: kernel-configuration search (§3.1). The configurations can
-  // be worth up to 2x and completely change the SASS the agent sees.
-  triton::AutotuneOptions TunerOpts = autotuneOptions();
-  TunerOpts.Cancel = Cancel;
-  triton::Autotuner Tuner(TunerOpts);
-  triton::AutotuneResult Tuned = Tuner.tune(Device, Kind, Shape);
-  if (!Tuned.Valid) {
-    // No candidate fit the shape (or every measurement faulted): there
-    // is no meaningful configuration to compile, so surface the failure
-    // instead of training on a default-constructed "winner".
-    OptimizeResult Failed;
-    Failed.AutotuneValid = false;
-    return Failed;
-  }
-
-  // Between-stage checkpoint: don't start compiling a cubin nobody
-  // will wait for.
-  if (Cancel)
-    Cancel->checkpoint();
-
-  // Compile at the winning configuration and intercept the cubin.
-  triton::CompiledKernel Compiled =
-      triton::compileKernel(Device, Kind, Shape, Tuned.Best, DataRng);
-
-  // The conditioning block carries the workload identity into the
-  // observation when the generalist format is requested.
-  std::optional<env::WorkloadContext> Ctx;
-  if (Config.ConditionEmbedding) {
-    Ctx.emplace();
-    Ctx->Kind = Kind;
-    Ctx->Shape = Shape;
-    Ctx->GpuType = GpuType;
-  }
-
-  OptimizeResult Result =
-      optimizeSchedule(Device, Compiled.Runtime, DataRng, Cancel,
-                       WarmStartPolicy, Ctx ? &*Ctx : nullptr);
-  Result.BestConfig = Tuned.Best;
-
-  // Substitute the optimized kernel section back into the binary.
-  Result.Kernel = std::move(Compiled);
-  if (Result.Verified)
-    triton::substituteSchedule(Result.Kernel, Result.OptimizedProg);
-  return Result;
-}
-
-OptimizeResult
-Optimizer::optimizeSchedule(gpusim::Gpu &Device,
-                            const kernels::BuiltKernel &Kernel,
-                            Rng &DataRng,
-                            const support::CancelToken *Cancel,
-                            const std::string *WarmStartPolicy,
-                            const env::WorkloadContext *Context) const {
-  OptimizeResult Result;
-
-  // Level 2: the assembly game (§3.3). One game per vectorized env.
-  // Every game shares one schedule->latency cache; when rollouts run on
-  // worker threads each game gets a private device copy (the simulator
-  // mutates memory/cache state).
-  const unsigned NumEnvs = std::max(1u, Config.NumEnvs);
-  unsigned Workers =
-      support::ThreadPool::resolveWorkerCount(Config.RolloutWorkers, NumEnvs);
-
-  std::shared_ptr<gpusim::MeasurementCache> SharedCache;
-  if (Config.Game.CacheMeasurements)
-    SharedCache =
-        std::make_shared<gpusim::MeasurementCache>(Config.Game.Measure.Seed);
-
-  std::vector<std::unique_ptr<rl::Env>> Envs;
-  std::vector<GameEnvAdapter *> Adapters;
-  for (unsigned E = 0; E < NumEnvs; ++E) {
-    env::GameConfig GC = Config.Game;
-    GC.SharedCache = SharedCache;
-    if (Context)
-      GC.Context = *Context;
-    // Training rollouts never read the §5.7 trace (playGreedy resets
-    // the winning game before replaying); skip the per-step string
-    // rendering and re-enable recording just for the replay below.
-    GC.RecordTrace = false;
-    // Private whenever sibling games exist — not just when threaded:
-    // siblings sharing one device would see each other's cache/memory
-    // state, making measurements depend on the (worker-count-shaped)
-    // interleaving and breaking the stats-identical-for-any-Workers
-    // contract.
-    GC.PrivateDevice = NumEnvs > 1;
-    auto Adapter = std::make_unique<GameEnvAdapter>(
-        std::make_unique<env::AssemblyGame>(Device, Kernel, GC));
-    Adapters.push_back(Adapter.get());
-    Envs.push_back(std::move(Adapter));
-  }
-
-  rl::RolloutConfig RC;
-  RC.Workers = Workers;
-  RC.Seed = Config.Ppo.Seed;
-  RC.Cancel = Cancel;
-  rl::RolloutRunner Runner(std::move(Envs), RC);
-  rl::PpoTrainer Trainer(Runner, Config.Ppo);
-  Trainer.setCancel(Cancel);
-  if (WarmStartPolicy && !WarmStartPolicy->empty())
-    Result.WarmStartTensors = Trainer.warmStartFrom(*WarmStartPolicy);
-  Result.Training = Trainer.train();
-  Result.EpisodeReturns = Trainer.episodicReturns();
-
-  finishWorkload(Config, Device, Kernel, Trainer, Adapters,
-                 SharedCache.get(), DataRng, Cancel, Result);
-
-  std::ostringstream Blob;
-  Trainer.net().save(Blob);
-  Result.PolicyBlob = Blob.str();
+  MultiOptimizeResult Multi =
+      runWorkflow(Device, {{Kind, Shape}}, Config.ConditionEmbedding,
+                  DataRng, Cancel, WarmStartPolicy, GpuType);
+  // One workload: the joint training series is its own.
+  OptimizeResult Result = std::move(Multi.Results.front());
+  Result.Training = std::move(Multi.Training);
+  Result.EpisodeReturns = std::move(Multi.EpisodeReturns);
   return Result;
 }
 
@@ -211,15 +107,29 @@ Optimizer::optimizeMany(gpusim::Gpu &Device,
                         Rng &DataRng, const support::CancelToken *Cancel,
                         const std::string *WarmStartPolicy,
                         const std::string &GpuType) const {
+  return runWorkflow(Device, Requests, /*Conditioned=*/true, DataRng, Cancel,
+                     WarmStartPolicy, GpuType);
+}
+
+MultiOptimizeResult
+Optimizer::runWorkflow(gpusim::Gpu &Device,
+                       const std::vector<WorkloadRequest> &Requests,
+                       bool Conditioned, Rng &DataRng,
+                       const support::CancelToken *Cancel,
+                       const std::string *WarmStartPolicy,
+                       const std::string &GpuType) const {
   MultiOptimizeResult Multi;
   Multi.Results.resize(Requests.size());
   if (Requests.empty())
     return Multi;
 
-  // Level 1 per request: configuration search + compile at the winner.
+  // Level 1 per request: kernel-configuration search (§3.1) — the
+  // configurations can be worth up to 2x and completely change the
+  // SASS the agent sees — then compile at the winner and intercept the
+  // cubin.
   triton::AutotuneOptions TunerOpts = autotuneOptions();
   TunerOpts.Cancel = Cancel;
-  triton::Autotuner Tuner(TunerOpts);
+  const triton::Autotuner Tuner(TunerOpts);
 
   struct BuiltReq {
     size_t Req;
@@ -230,11 +140,14 @@ Optimizer::optimizeMany(gpusim::Gpu &Device,
     triton::AutotuneResult Tuned =
         Tuner.tune(Device, Requests[I].Kind, Requests[I].Shape);
     if (!Tuned.Valid) {
-      // No meaningful configuration: exclude from training, surface the
-      // failure in place (mirrors the single-workload path).
+      // No candidate fit the shape (or every measurement faulted):
+      // there is no meaningful configuration to compile, so exclude the
+      // request from training and surface the failure in place.
       Multi.Results[I].AutotuneValid = false;
       continue;
     }
+    // Between-stage checkpoint: don't start compiling a cubin nobody
+    // will wait for.
     if (Cancel)
       Cancel->checkpoint();
     Multi.Results[I].BestConfig = Tuned.Best;
@@ -259,13 +172,14 @@ Optimizer::optimizeMany(gpusim::Gpu &Device,
   // The conditioned embedding pads every workload's operand features to
   // the pool maximum so every observation shares one feature width.
   size_t OperandSlots = 0;
-  for (const BuiltReq &B : Built)
-    OperandSlots = std::max(
-        OperandSlots,
-        analysis::OperandTable::build(B.Kernel.Runtime.Prog).maxOperands());
+  if (Conditioned)
+    for (const BuiltReq &B : Built)
+      OperandSlots = std::max(
+          OperandSlots,
+          analysis::OperandTable::build(B.Kernel.Runtime.Prog).maxOperands());
 
-  // One env pool per workload, each with its own measurement cache
-  // (mirroring optimizeSchedule's per-run cache), all conditioned.
+  // Level 2: the assembly game (§3.3). One env pool per workload of
+  // NumEnvs games sharing that workload's schedule->latency cache.
   const unsigned PerWorkload = std::max(1u, Config.NumEnvs);
   const size_t TotalEnvs = PerWorkload * Built.size();
   unsigned Workers =
@@ -290,15 +204,24 @@ Optimizer::optimizeMany(gpusim::Gpu &Device,
     for (unsigned E = 0; E < PerWorkload; ++E) {
       env::GameConfig GC = Config.Game;
       GC.SharedCache = P.Cache;
+      // Training rollouts never read the §5.7 trace (playGreedy resets
+      // the winning game before replaying); skip the per-step string
+      // rendering and re-enable recording just for the replay.
       GC.RecordTrace = false;
-      // Private whenever sibling games exist (see optimizeSchedule).
+      // Private whenever sibling games exist — not just when threaded:
+      // siblings sharing one device would see each other's cache/memory
+      // state, making measurements depend on the (worker-count-shaped)
+      // interleaving and breaking the stats-identical-for-any-Workers
+      // contract.
       GC.PrivateDevice = TotalEnvs > 1;
-      env::WorkloadContext Ctx;
-      Ctx.Kind = Requests[B.Req].Kind;
-      Ctx.Shape = Requests[B.Req].Shape;
-      Ctx.GpuType = GpuType;
-      Ctx.OperandSlots = OperandSlots;
-      GC.Context = Ctx;
+      if (Conditioned) {
+        env::WorkloadContext Ctx;
+        Ctx.Kind = Requests[B.Req].Kind;
+        Ctx.Shape = Requests[B.Req].Shape;
+        Ctx.GpuType = GpuType;
+        Ctx.OperandSlots = OperandSlots;
+        GC.Context = Ctx;
+      }
       auto Adapter = std::make_unique<GameEnvAdapter>(
           std::make_unique<env::AssemblyGame>(Device, B.Kernel.Runtime,
                                               GC));
@@ -333,7 +256,7 @@ Optimizer::optimizeMany(gpusim::Gpu &Device,
   // Rng streams from (Seed, slot), so the whole schedule is a pure
   // function of the request set and seeds, worker count aside.
   const size_t Phases = Pools.size();
-  const unsigned Total = std::max(1u, Config.Ppo.TotalSteps);
+  const unsigned Total = Config.Ppo.TotalSteps;
   const unsigned PerPhase = static_cast<unsigned>(Total / Phases);
   for (size_t P = 0; P < Phases; ++P) {
     const bool Final = P + 1 == Phases;
@@ -358,7 +281,8 @@ Optimizer::optimizeMany(gpusim::Gpu &Device,
   Multi.PolicyBlob = Blob.str();
 
   // Per-workload tail: best schedule, greedy replay, accounting,
-  // probabilistic test, binary substitution — identical to optimize().
+  // probabilistic test, then substitution of the optimized kernel
+  // section back into the binary.
   for (WorkloadPool &P : Pools) {
     OptimizeResult &R = Multi.Results[P.Req];
     finishWorkload(Config, Device, P.Kernel->Runtime, Trainer, P.Adapters,
@@ -378,9 +302,8 @@ Optimizer::autotuneAll(const gpusim::Gpu &Device,
                        triton::DeployCache *Deploy,
                        const std::string &GpuType,
                        DeployStats *Stats) const {
-  triton::Autotuner Tuner(autotuneOptions());
   std::vector<triton::AutotuneResult> Results =
-      Tuner.sweepAll(Device, Requests);
+      triton::Autotuner(autotuneOptions()).sweepAll(Device, Requests);
 
   if (Deploy) {
     for (size_t I = 0; I < Requests.size(); ++I) {

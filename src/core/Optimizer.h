@@ -31,10 +31,10 @@ namespace core {
 /// specify the hyperparameters of the RL agents" (§4.1).
 ///
 /// When adding a result-relevant field (anything that changes what
-/// optimize() produces, as opposed to how fast), also append it to
-/// configDigest() in serve/OptimizationService.cpp — the serving
-/// layer keys deployed cubins by that digest, and an omitted field
-/// would alias distinct deployments to one key.
+/// optimize() produces, as opposed to how fast), also add it to
+/// visitResultFields() below — the serving layer keys deployed cubins
+/// by a digest of that list, and an omitted field would alias
+/// distinct deployments to one key.
 struct OptimizeConfig {
   rl::PpoConfig Ppo;
   env::GameConfig Game;
@@ -45,15 +45,12 @@ struct OptimizeConfig {
   /// Worker threads collecting rollouts; 0 = min(NumEnvs, hardware
   /// concurrency). Training statistics are identical for every value
   /// (per-env Rng streams + order-invariant cache seeding) — this is a
-  /// wall-clock knob only. This knob — not Ppo.Workers — governs the
-  /// optimizer path: the optimizer hands PpoTrainer an external
-  /// RolloutRunner, and Ppo.Workers only applies when the trainer
-  /// builds its own runner from raw env pointers.
+  /// wall-clock knob only.
   unsigned RolloutWorkers = 0;
   /// Probabilistic-testing rounds on the final schedule (§4.1).
   unsigned ProbTestRounds = 3;
   /// Measurement protocol for the autotuner.
-  gpusim::MeasureConfig AutotuneMeasure = triton::Autotuner::defaultMeasure();
+  gpusim::MeasureConfig AutotuneMeasure;
   /// Worker threads for the autotune sweep (level 1); 1 = serial,
   /// 0 = hardware concurrency. Sweep results are bit-identical for
   /// every value — a wall-clock knob only.
@@ -63,12 +60,68 @@ struct OptimizeConfig {
   /// Condition the observation embedding on the workload identity
   /// (kernel-kind one-hot, log-scaled shape dims, GPU type) — the
   /// generalist-policy observation format. Result-relevant: the agent
-  /// trains on different observations, so this field is part of
-  /// configDigest() in serve/OptimizationService.cpp. optimizeMany()
-  /// always conditions (a shared policy needs the workload identity in
-  /// the observation) regardless of this flag.
+  /// trains on different observations. optimizeMany() always
+  /// conditions (a shared policy needs the workload identity in the
+  /// observation) regardless of this flag.
   bool ConditionEmbedding = false;
 };
+
+/// Enumerates every result-relevant OptimizeConfig field, in one fixed
+/// order, as a typed reference: the stall table
+/// (analysis::StallTable), doubles, unsigneds, bools and 64-bit
+/// unsigneds (uint64_t, size_t). The serving layer's config digest
+/// (serve::OptimizationService::requestKey) and the wire's config
+/// block (net/Wire.cpp) both walk this list, so a field added here
+/// keys deployments and crosses the wire without touching either.
+/// Excluded on purpose: the wall-clock knobs (RolloutWorkers,
+/// AutotuneWorkers) — the determinism contract makes them irrelevant
+/// to the result — and the runtime wiring the optimizer derives per
+/// run (GameConfig's SharedCache, PrivateDevice and Context; the
+/// context comes from the request's own kind, shape and GPU type,
+/// which already key a deployment). Adding a field changes every
+/// request key and the wire's config block, so it is a protocol
+/// change.
+template <typename Config, typename Fn>
+void visitResultFields(Config &C, Fn &&F) {
+  // The stall table shapes the action mask, hence the result.
+  F(C.Game.Table);
+  F(C.Ppo.Lr);
+  F(C.Ppo.Gamma);
+  F(C.Ppo.GaeLambda);
+  F(C.Ppo.ClipCoef);
+  F(C.Ppo.EntCoef);
+  F(C.Ppo.VfCoef);
+  F(C.Ppo.MaxGradNorm);
+  F(C.Ppo.RolloutLen);
+  F(C.Ppo.MiniBatches);
+  F(C.Ppo.Epochs);
+  F(C.Ppo.TotalSteps);
+  F(C.Ppo.NormAdvantage);
+  F(C.Ppo.ClipVLoss);
+  F(C.Ppo.AnnealLr);
+  F(C.Ppo.Seed);
+  F(C.Ppo.Channels);
+  F(C.Ppo.Hidden);
+  F(C.Game.EpisodeLength);
+  auto Measure = [&F](auto &M) {
+    F(M.WarmupIters);
+    F(M.RepeatIters);
+    F(M.ClearL2BetweenReps);
+    F(M.NoiseStddev);
+    F(M.MaxBlocks);
+    F(M.Seed);
+  };
+  Measure(C.Game.Measure);
+  F(C.Game.UseActionMasking);
+  F(C.Game.InvalidPenalty);
+  F(C.Game.CacheMeasurements);
+  F(C.Game.RecordTrace);
+  F(C.NumEnvs);
+  F(C.ProbTestRounds);
+  Measure(C.AutotuneMeasure);
+  F(C.AutotuneSeed);
+  F(C.ConditionEmbedding);
+}
 
 /// Everything one run produces.
 struct OptimizeResult {
@@ -155,8 +208,7 @@ public:
   /// \p Cancel is non-null, the run polls it at cooperative
   /// checkpoints — per autotune candidate, per rollout slot, per PPO
   /// epoch, between stages — and a tripped token unwinds with
-  /// support::CancelledError (partial results are discarded; the
-  /// autotuner's single-flight keys are reclaimed, never poisoned).
+  /// support::CancelledError (partial results are discarded).
   ///
   /// \p WarmStartPolicy, when non-null and non-empty, is a serialized
   /// policy (OptimizeResult::PolicyBlob) to initialize training from;
@@ -170,21 +222,6 @@ public:
                           const support::CancelToken *Cancel = nullptr,
                           const std::string *WarmStartPolicy = nullptr,
                           const std::string &GpuType = "A100-SIM") const;
-
-  /// Plays the assembly game on an already-built kernel (the inner
-  /// level only; used when the configuration is fixed). \p Context,
-  /// when non-null, overrides GameConfig::Context for every game
-  /// (optimize() builds it from the workload identity when
-  /// ConditionEmbedding is set).
-  OptimizeResult optimizeSchedule(gpusim::Gpu &Device,
-                                  const kernels::BuiltKernel &Kernel,
-                                  Rng &DataRng,
-                                  const support::CancelToken *Cancel =
-                                      nullptr,
-                                  const std::string *WarmStartPolicy =
-                                      nullptr,
-                                  const env::WorkloadContext *Context =
-                                      nullptr) const;
 
   /// Shared cross-kernel training (the generalist policy): autotunes
   /// and compiles every request, then trains ONE conditioned policy
@@ -200,7 +237,10 @@ public:
   /// optimize(). Requests whose autotune sweep is invalid are excluded
   /// from training and returned with AutotuneValid = false.
   ///
-  /// Determinism matches optimize(): results are bit-identical for any
+  /// optimize() is this routine over one request, conditioned only
+  /// when ConditionEmbedding is set: with it set, optimize() and a
+  /// one-request optimizeMany() train the same policy. Determinism
+  /// matches optimize(): results are bit-identical for any
   /// RolloutWorkers value.
   MultiOptimizeResult
   optimizeMany(gpusim::Gpu &Device,
@@ -229,6 +269,16 @@ public:
 
 private:
   triton::AutotuneOptions autotuneOptions() const;
+
+  /// The one build -> tune -> compile -> train -> finish routine
+  /// behind optimize() and optimizeMany(). \p Conditioned gives every
+  /// game the conditioned observation format.
+  MultiOptimizeResult runWorkflow(gpusim::Gpu &Device,
+                                  const std::vector<WorkloadRequest> &Requests,
+                                  bool Conditioned, Rng &DataRng,
+                                  const support::CancelToken *Cancel,
+                                  const std::string *WarmStartPolicy,
+                                  const std::string &GpuType) const;
 
   OptimizeConfig Config;
 };

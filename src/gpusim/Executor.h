@@ -22,7 +22,6 @@
 #define CUASMRL_GPUSIM_EXECUTOR_H
 
 #include <cstdint>
-#include <string_view>
 
 namespace cuasmrl {
 namespace gpusim {
@@ -31,15 +30,13 @@ namespace gpusim {
 struct ExecResult {
   enum class Kind : uint8_t {
     Normal,       ///< Fall through to the next statement.
-    Branch,       ///< Jump to `TargetIdx` / `Target`.
+    Branch,       ///< Jump to `TargetIdx`.
     Exit,         ///< Warp finished.
     BlockBarrier, ///< BAR.SYNC: block until all block warps arrive.
   };
   Kind K = Kind::Normal;
-  std::string_view Target; ///< Branch label (points into the operand).
   /// Branch target as a statement index, pre-resolved by the decoded
-  /// image; -1 when unresolved (unknown label, or the instruction was
-  /// executed through the decode-on-the-fly compatibility overload).
+  /// image; -1 when the label names no statement of the program.
   int32_t TargetIdx = -1;
   bool Predicated = true;  ///< False when the guard suppressed execution.
 };

@@ -27,3 +27,10 @@ ExecResult gpusim::executeOracle(const sass::Instruction &I,
                                  const DecodedInstr &D, OracleExecCtx &Ctx) {
   return executeInstr(I, D, Ctx);
 }
+
+std::string gpusim::unresolvedBranchFault(const sass::Instruction &I) {
+  for (const sass::Operand &Op : I.operands())
+    if (Op.isLabel())
+      return "branch to unknown label '" + Op.name() + "'";
+  return "branch to unknown label";
+}

@@ -21,6 +21,8 @@
 
 #include "gpusim/Executor.h"
 
+#include <string>
+
 namespace cuasmrl {
 namespace sass {
 class Instruction;
@@ -41,6 +43,10 @@ ExecResult executeTimed(const sass::Instruction &I, const DecodedInstr &D,
 /// Executes \p I under immediate-commit oracle semantics.
 ExecResult executeOracle(const sass::Instruction &I, const DecodedInstr &D,
                          OracleExecCtx &Ctx);
+
+/// The fault reason for a branch \p I whose label the decoded image
+/// could not resolve (ExecResult::TargetIdx < 0); names the label.
+std::string unresolvedBranchFault(const sass::Instruction &I);
 
 } // namespace gpusim
 } // namespace cuasmrl

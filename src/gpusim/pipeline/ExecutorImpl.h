@@ -757,7 +757,6 @@ ExecResult executeInstr(const sass::Instruction &I, const DecodedInstr &D,
     for (const Operand &Op : Ops)
       if (Op.isLabel()) {
         Res.K = ExecResult::Kind::Branch;
-        Res.Target = Op.name();
         Res.TargetIdx = D.BranchTarget;
         break;
       }

@@ -64,8 +64,7 @@ bool gpusim::runBlockOracle(Gpu &Device, const sass::Program &Prog,
         break;
       case ExecResult::Kind::Branch: {
         if (R.TargetIdx < 0) {
-          FaultReason = "branch to unknown label '" +
-                        std::string(R.Target) + "'";
+          FaultReason = unresolvedBranchFault(I);
           return false;
         }
         W.Pc = static_cast<size_t>(R.TargetIdx);

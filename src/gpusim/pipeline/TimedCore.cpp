@@ -170,7 +170,7 @@ void TimedMachine::issue(Scheduler &S, unsigned WarpIdx) {
     break;
   case ExecResult::Kind::Branch: {
     if (R.TargetIdx < 0) {
-      fault("branch to unknown label '" + std::string(R.Target) + "'");
+      fault(unresolvedBranchFault(I));
       W.Done = true;
       --LiveWarps;
       return;

@@ -9,6 +9,7 @@
 #include "kernels/Workload.h"
 
 #include <cstring>
+#include <type_traits>
 
 using namespace cuasmrl;
 using namespace cuasmrl::net;
@@ -163,110 +164,66 @@ private:
 };
 
 //===----------------------------------------------------------------------===//
-// Config block: exactly the result-relevant field list of
-// configDigest() (serve/OptimizationService.cpp) — the wire-carried
-// config must decode to the same request key the client computed.
+// Config block: the result-relevant field list (core::visitResultFields)
+// that the request key digests — the wire-carried config must decode to
+// the same request key the client computed. Unsigned fields travel as
+// u32, 64-bit ones (uint64_t, size_t) as u64.
 //===----------------------------------------------------------------------===//
 
-void putMeasure(std::vector<uint8_t> &Out, const gpusim::MeasureConfig &M) {
-  putU32(Out, M.WarmupIters);
-  putU32(Out, M.RepeatIters);
-  putBool(Out, M.ClearL2BetweenReps);
-  putDouble(Out, M.NoiseStddev);
-  putU32(Out, M.MaxBlocks);
-  putU64(Out, M.Seed);
-}
-
-void takeMeasure(Cursor &C, gpusim::MeasureConfig &M) {
-  M.WarmupIters = C.u32();
-  M.RepeatIters = C.u32();
-  // A measurement averages over its repeats; zero measures nothing.
-  if (M.RepeatIters == 0)
-    C.fail("measure config with zero repeat iterations");
-  M.ClearL2BetweenReps = C.boolean();
-  M.NoiseStddev = C.f64();
-  M.MaxBlocks = C.u32();
-  M.Seed = C.u64();
-}
-
 void putConfig(std::vector<uint8_t> &Out, const core::OptimizeConfig &C) {
-  const auto &Entries = C.Game.Table.entries();
-  putU32(Out, static_cast<uint32_t>(Entries.size()));
-  for (const auto &[Key, Cycles] : Entries) {
-    putString(Out, Key);
-    putU32(Out, Cycles);
-  }
-  putDouble(Out, C.Ppo.Lr);
-  putDouble(Out, C.Ppo.Gamma);
-  putDouble(Out, C.Ppo.GaeLambda);
-  putDouble(Out, C.Ppo.ClipCoef);
-  putDouble(Out, C.Ppo.EntCoef);
-  putDouble(Out, C.Ppo.VfCoef);
-  putDouble(Out, C.Ppo.MaxGradNorm);
-  putU32(Out, C.Ppo.RolloutLen);
-  putU32(Out, C.Ppo.MiniBatches);
-  putU32(Out, C.Ppo.Epochs);
-  putU32(Out, C.Ppo.TotalSteps);
-  putBool(Out, C.Ppo.NormAdvantage);
-  putBool(Out, C.Ppo.ClipVLoss);
-  putBool(Out, C.Ppo.AnnealLr);
-  putU64(Out, C.Ppo.Seed);
-  putU64(Out, C.Ppo.Channels);
-  putU64(Out, C.Ppo.Hidden);
-  putU32(Out, C.Game.EpisodeLength);
-  putMeasure(Out, C.Game.Measure);
-  putBool(Out, C.Game.UseActionMasking);
-  putDouble(Out, C.Game.InvalidPenalty);
-  putBool(Out, C.Game.CacheMeasurements);
-  putBool(Out, C.Game.RecordTrace);
-  putU32(Out, C.NumEnvs);
-  putU32(Out, C.ProbTestRounds);
-  putMeasure(Out, C.AutotuneMeasure);
-  putU64(Out, C.AutotuneSeed);
-  putBool(Out, C.ConditionEmbedding);
+  core::visitResultFields(C, [&Out](const auto &V) {
+    using T = std::decay_t<decltype(V)>;
+    if constexpr (std::is_same_v<T, analysis::StallTable>) {
+      const auto &Entries = V.entries();
+      putU32(Out, static_cast<uint32_t>(Entries.size()));
+      for (const auto &[Key, Cycles] : Entries) {
+        putString(Out, Key);
+        putU32(Out, Cycles);
+      }
+    } else if constexpr (std::is_same_v<T, double>) {
+      putDouble(Out, V);
+    } else if constexpr (std::is_same_v<T, bool>) {
+      putBool(Out, V);
+    } else if constexpr (std::is_same_v<T, unsigned>) {
+      putU32(Out, V);
+    } else {
+      static_assert(std::is_unsigned_v<T> && sizeof(T) == 8,
+                    "unhandled config field type");
+      putU64(Out, V);
+    }
+  });
 }
 
 core::OptimizeConfig takeConfig(Cursor &C) {
-  // Wall-clock-only knobs (RolloutWorkers, AutotuneWorkers, Ppo.
-  // Workers) and runtime wiring (SharedCache, PrivateDevice, Context)
-  // keep their server-side defaults: the client has no say over how
-  // the server spends its threads.
+  // Wall-clock-only knobs (RolloutWorkers, AutotuneWorkers) and runtime
+  // wiring (SharedCache, PrivateDevice, Context) keep their server-side
+  // defaults: the client has no say over how the server spends its
+  // threads.
   core::OptimizeConfig Cfg;
-  uint32_t TableCount = C.u32();
-  Cfg.Game.Table = analysis::StallTable::empty();
-  for (uint32_t I = 0; I < TableCount && C.ok(); ++I) {
-    std::string Key = C.str();
-    uint32_t Cycles = C.u32();
-    Cfg.Game.Table.record(Key, Cycles);
-  }
-  Cfg.Ppo.Lr = C.f64();
-  Cfg.Ppo.Gamma = C.f64();
-  Cfg.Ppo.GaeLambda = C.f64();
-  Cfg.Ppo.ClipCoef = C.f64();
-  Cfg.Ppo.EntCoef = C.f64();
-  Cfg.Ppo.VfCoef = C.f64();
-  Cfg.Ppo.MaxGradNorm = C.f64();
-  Cfg.Ppo.RolloutLen = C.u32();
-  Cfg.Ppo.MiniBatches = C.u32();
-  Cfg.Ppo.Epochs = C.u32();
-  Cfg.Ppo.TotalSteps = C.u32();
-  Cfg.Ppo.NormAdvantage = C.boolean();
-  Cfg.Ppo.ClipVLoss = C.boolean();
-  Cfg.Ppo.AnnealLr = C.boolean();
-  Cfg.Ppo.Seed = C.u64();
-  Cfg.Ppo.Channels = static_cast<size_t>(C.u64());
-  Cfg.Ppo.Hidden = static_cast<size_t>(C.u64());
-  Cfg.Game.EpisodeLength = C.u32();
-  takeMeasure(C, Cfg.Game.Measure);
-  Cfg.Game.UseActionMasking = C.boolean();
-  Cfg.Game.InvalidPenalty = C.f64();
-  Cfg.Game.CacheMeasurements = C.boolean();
-  Cfg.Game.RecordTrace = C.boolean();
-  Cfg.NumEnvs = C.u32();
-  Cfg.ProbTestRounds = C.u32();
-  takeMeasure(C, Cfg.AutotuneMeasure);
-  Cfg.AutotuneSeed = C.u64();
-  Cfg.ConditionEmbedding = C.boolean();
+  core::visitResultFields(Cfg, [&C](auto &V) {
+    using T = std::decay_t<decltype(V)>;
+    if constexpr (std::is_same_v<T, analysis::StallTable>) {
+      uint32_t TableCount = C.u32();
+      V = analysis::StallTable::empty();
+      for (uint32_t I = 0; I < TableCount && C.ok(); ++I) {
+        std::string Key = C.str();
+        uint32_t Cycles = C.u32();
+        V.record(Key, Cycles);
+      }
+    } else if constexpr (std::is_same_v<T, double>) {
+      V = C.f64();
+    } else if constexpr (std::is_same_v<T, bool>) {
+      V = C.boolean();
+    } else if constexpr (std::is_same_v<T, unsigned>) {
+      V = C.u32();
+    } else {
+      V = static_cast<T>(C.u64());
+    }
+  });
+  // A measurement averages over its repeats; zero measures nothing.
+  if (Cfg.Game.Measure.RepeatIters == 0 ||
+      Cfg.AutotuneMeasure.RepeatIters == 0)
+    C.fail("measure config with zero repeat iterations");
   return Cfg;
 }
 

@@ -25,9 +25,9 @@
 /// decode(encode(x)) == x exactly (bit-identical doubles included),
 /// and two processes encoding the same response produce the same
 /// bytes. The request payload carries every result-relevant
-/// OptimizeConfig field (the configDigest() list in
-/// serve/OptimizationService.cpp); wall-clock-only knobs
-/// (RolloutWorkers, AutotuneWorkers) deliberately stay server-side.
+/// OptimizeConfig field (core::visitResultFields, the list the request
+/// key digests); wall-clock-only knobs (RolloutWorkers,
+/// AutotuneWorkers) deliberately stay server-side.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -42,7 +42,6 @@ NetConfig netConfigFor(RolloutRunner &Runner, const PpoConfig &Config) {
 std::unique_ptr<RolloutRunner> makeRunner(std::vector<Env *> Envs,
                                           const PpoConfig &Config) {
   RolloutConfig RC;
-  RC.Workers = Config.Workers;
   RC.Seed = Config.Seed;
   return std::make_unique<RolloutRunner>(std::move(Envs), RC);
 }

@@ -55,15 +55,6 @@ struct PpoConfig {
   uint64_t Seed = 1;
   size_t Channels = 16; ///< Network width knobs.
   size_t Hidden = 64;
-  /// Rollout worker threads when the trainer builds its own
-  /// RolloutRunner (the env-pointer constructor). Pure wall-clock knob:
-  /// training statistics are bit-identical for every value.
-  /// Precondition for > 1: the envs must be safe to step concurrently
-  /// — for AssemblyGame-backed envs each game needs its own device
-  /// (GameConfig::PrivateDevice); sharing one Gpu across threaded
-  /// games is a data race. core::Optimizer sets this up; hand-built
-  /// pools must too.
-  unsigned Workers = 1;
 };
 
 /// Statistics from one update round (the Figure 8/12 series).
@@ -80,14 +71,15 @@ struct UpdateStats {
 /// PPO driver over a rollout engine.
 ///
 /// Thread-safety: a PpoTrainer is driven by one thread; internal
-/// rollout parallelism (Config.Workers / the runner's worker pool)
-/// never escapes a collect call. The network weights are only mutated
-/// inside updateFromBatch(), between collect calls.
+/// rollout parallelism (the runner's worker pool) never escapes a
+/// collect call. The network weights are only mutated inside
+/// updateFromBatch(), between collect calls.
 class PpoTrainer {
 public:
   /// Convenience constructor: wraps \p Envs (non-owning, must outlive
-  /// the trainer) in an internal RolloutRunner with Config.Workers
-  /// workers and per-slot Rng streams seeded from Config.Seed.
+  /// the trainer) in an internal RolloutRunner that steps them inline,
+  /// with per-slot Rng streams seeded from Config.Seed. For threaded
+  /// collection, build a RolloutRunner and use the constructor below.
   PpoTrainer(std::vector<Env *> Envs, PpoConfig Config);
 
   /// Trains over an external rollout engine (e.g. one owning

@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <exception>
+#include <type_traits>
 
 using namespace cuasmrl;
 using namespace cuasmrl::serve;
@@ -40,81 +41,34 @@ double elapsedMs(const support::Clock &C, support::Clock::TimePoint Since) {
   return std::chrono::duration<double, std::milli>(C.now() - Since).count();
 }
 
-/// Exact textual rendering of a double (hexfloat): two configs digest
-/// equal iff the values are bit-comparable, with no decimal rounding.
-void appendField(std::string &Out, double V) {
-  char Buf[48];
-  std::snprintf(Buf, sizeof(Buf), "%a,", V);
-  Out += Buf;
-}
-void appendField(std::string &Out, uint64_t V) {
-  Out += std::to_string(V);
-  Out += ',';
-}
-
-void appendMeasure(std::string &Out, const gpusim::MeasureConfig &M) {
-  appendField(Out, uint64_t(M.WarmupIters));
-  appendField(Out, uint64_t(M.RepeatIters));
-  appendField(Out, uint64_t(M.ClearL2BetweenReps));
-  appendField(Out, M.NoiseStddev);
-  appendField(Out, uint64_t(M.MaxBlocks));
-  appendField(Out, M.Seed);
-}
-
-/// Digest of every result-relevant OptimizeConfig field. Wall-clock
-/// knobs (RolloutWorkers, AutotuneWorkers) are deliberately excluded —
-/// the determinism contract makes them irrelevant to the result —
-/// as are the runtime-wiring fields the service always controls
-/// (SharedCache, PrivateDevice). The stall table IS included (its
-/// entries shape the action mask, hence the result): two requests
-/// with different tables must never share a job or a deployed cubin.
-///
-/// TRIPWIRE: when OptimizeConfig (or its nested Ppo/Game/Measure
-/// structs) grows a result-relevant field, it MUST be appended here —
-/// an omitted field silently aliases distinct deployments to one
-/// cache key (wrong cubin served, no error). OptimizeConfig's doc
-/// comment points back here.
+/// Digest of every result-relevant OptimizeConfig field
+/// (core::visitResultFields). Doubles render as hexfloat, so two
+/// configs digest equal iff the values are bit-comparable, with no
+/// decimal rounding; integers and bools render in decimal; each stall
+/// table entry renders as "key=cycles". Two requests with different
+/// tables must never share a job or a deployed cubin.
 std::string configDigest(const core::OptimizeConfig &C) {
   std::string Raw;
   Raw.reserve(256);
-  for (const auto &[Key, Cycles] : C.Game.Table.entries()) {
-    Raw += Key;
-    Raw += '=';
-    appendField(Raw, uint64_t(Cycles));
-  }
-  appendField(Raw, C.Ppo.Lr);
-  appendField(Raw, C.Ppo.Gamma);
-  appendField(Raw, C.Ppo.GaeLambda);
-  appendField(Raw, C.Ppo.ClipCoef);
-  appendField(Raw, C.Ppo.EntCoef);
-  appendField(Raw, C.Ppo.VfCoef);
-  appendField(Raw, C.Ppo.MaxGradNorm);
-  appendField(Raw, uint64_t(C.Ppo.RolloutLen));
-  appendField(Raw, uint64_t(C.Ppo.MiniBatches));
-  appendField(Raw, uint64_t(C.Ppo.Epochs));
-  appendField(Raw, uint64_t(C.Ppo.TotalSteps));
-  appendField(Raw, uint64_t(C.Ppo.NormAdvantage));
-  appendField(Raw, uint64_t(C.Ppo.ClipVLoss));
-  appendField(Raw, uint64_t(C.Ppo.AnnealLr));
-  appendField(Raw, C.Ppo.Seed);
-  appendField(Raw, uint64_t(C.Ppo.Channels));
-  appendField(Raw, uint64_t(C.Ppo.Hidden));
-  appendField(Raw, uint64_t(C.Game.EpisodeLength));
-  appendMeasure(Raw, C.Game.Measure);
-  appendField(Raw, uint64_t(C.Game.UseActionMasking));
-  appendField(Raw, C.Game.InvalidPenalty);
-  appendField(Raw, uint64_t(C.Game.CacheMeasurements));
-  appendField(Raw, uint64_t(C.Game.RecordTrace));
-  appendField(Raw, uint64_t(C.NumEnvs));
-  appendField(Raw, uint64_t(C.ProbTestRounds));
-  appendMeasure(Raw, C.AutotuneMeasure);
-  appendField(Raw, C.AutotuneSeed);
-  // The conditioned (generalist) observation format trains a different
-  // agent on the same workload, hence a different deployed cubin.
-  // (GameConfig::Context itself stays excluded: it is runtime wiring
-  // the optimizer derives from the request's own kind/shape/GpuType,
-  // all of which already key the deployment.)
-  appendField(Raw, uint64_t(C.ConditionEmbedding));
+  core::visitResultFields(C, [&Raw](const auto &V) {
+    using T = std::decay_t<decltype(V)>;
+    if constexpr (std::is_same_v<T, analysis::StallTable>) {
+      for (const auto &[Key, Cycles] : V.entries()) {
+        Raw += Key;
+        Raw += '=';
+        Raw += std::to_string(uint64_t(Cycles));
+        Raw += ',';
+      }
+    } else if constexpr (std::is_same_v<T, double>) {
+      char Buf[48];
+      std::snprintf(Buf, sizeof(Buf), "%a,", V);
+      Raw += Buf;
+    } else {
+      static_assert(std::is_unsigned_v<T>, "unhandled config field type");
+      Raw += std::to_string(uint64_t(V));
+      Raw += ',';
+    }
+  });
   char Hex[24];
   std::snprintf(Hex, sizeof(Hex), "cfg%016llx",
                 static_cast<unsigned long long>(fnv1a64(Raw)));
@@ -340,10 +294,8 @@ Ticket OptimizationService::admit(const OptimizeRequest &R,
   }
 
   // 2. Single-flight attach: an identical key is already queued or
-  //    running — share its job instead of re-optimizing (the service-
-  //    level mirror of the Autotuner/MeasurementCache single-run-per-
-  //    key guarantee). Attaching beats degrading: the exact answer is
-  //    already on its way.
+  //    running — share its job instead of re-optimizing. Attaching
+  //    beats degrading: the exact answer is already on its way.
   auto It = InFlight.find(Key);
   if (It != InFlight.end()) {
     JobPtr Job = It->second;

@@ -13,9 +13,8 @@
 ///   1. Lookup hit: the request key is already in the DeployCache →
 ///      the stored cubin is returned immediately, zero training.
 ///   2. Attach: an identical key is already queued or running → the
-///      request joins that job (single-flight; mirrors the
-///      single-sweep-per-key guarantee of MeasurementCache and
-///      Autotuner) and shares its response.
+///      request joins that job (single-flight, as MeasurementCache
+///      runs one simulation per schedule) and shares its response.
 ///   3. Near miss (optional): the key misses but another shape of the
 ///      same (GpuType, kind) is deployed → the nearest one is served
 ///      immediately as Status::Degraded while the exact-shape job runs

@@ -303,6 +303,65 @@ TEST(GeneralistTest, OptimizeManySharedPolicyDeterministic) {
   }
 }
 
+TEST(GeneralistTest, ConditionedOptimizeEqualsOneRequestOptimizeMany) {
+  // optimize() and optimizeMany() share one routine: with the
+  // conditioned observation format on, a single-workload optimize() is
+  // exactly a one-request optimizeMany().
+  core::OptimizeConfig C = tinyConfig();
+  C.ConditionEmbedding = true;
+  const core::Optimizer Opt(C);
+  const WorkloadKind Kind = WorkloadKind::Softmax;
+  const kernels::WorkloadShape Shape = kernels::testShape(Kind);
+
+  gpusim::Gpu OneDevice;
+  Rng OneRng(9);
+  core::OptimizeResult One = Opt.optimize(OneDevice, Kind, Shape, OneRng);
+  gpusim::Gpu ManyDevice;
+  Rng ManyRng(9);
+  core::MultiOptimizeResult Many =
+      Opt.optimizeMany(ManyDevice, {{Kind, Shape}}, ManyRng);
+
+  ASSERT_TRUE(One.AutotuneValid);
+  ASSERT_EQ(Many.Results.size(), 1u);
+  const core::OptimizeResult &M = Many.Results.front();
+  EXPECT_FALSE(One.PolicyBlob.empty());
+  EXPECT_EQ(One.PolicyBlob, M.PolicyBlob);
+  EXPECT_EQ(One.PolicyBlob, Many.PolicyBlob);
+  EXPECT_EQ(One.Kernel.Binary.serialize(), M.Kernel.Binary.serialize());
+  EXPECT_EQ(One.OptimizedUs, M.OptimizedUs);
+  EXPECT_EQ(One.KernelExecutions, M.KernelExecutions);
+  EXPECT_FALSE(One.Training.empty());
+  EXPECT_EQ(One.Training.size(), Many.Training.size());
+}
+
+TEST(GeneralistTest, OptimizeManyWithZeroStepsRunsNoUpdates) {
+  // A zero step budget trains nothing on either entry point: the
+  // initial policy plays the greedy replay and the run still verifies.
+  core::OptimizeConfig C = tinyConfig();
+  C.Ppo.TotalSteps = 0;
+  const core::Optimizer Opt(C);
+  std::vector<core::WorkloadRequest> Requests;
+  for (WorkloadKind Kind :
+       {WorkloadKind::Softmax, WorkloadKind::MmLeakyRelu})
+    Requests.push_back({Kind, kernels::testShape(Kind)});
+  gpusim::Gpu Device;
+  Rng DataRng(9);
+  core::MultiOptimizeResult Many = Opt.optimizeMany(Device, Requests, DataRng);
+  EXPECT_TRUE(Many.Training.empty());
+  EXPECT_TRUE(Many.EpisodeReturns.empty());
+  ASSERT_EQ(Many.Results.size(), Requests.size());
+  for (const core::OptimizeResult &R : Many.Results) {
+    ASSERT_TRUE(R.AutotuneValid);
+    EXPECT_FALSE(R.PolicyBlob.empty());
+  }
+
+  gpusim::Gpu OneDevice;
+  Rng OneRng(9);
+  EXPECT_TRUE(Opt.optimize(OneDevice, WorkloadKind::Softmax,
+                           kernels::testShape(WorkloadKind::Softmax), OneRng)
+                  .Training.empty());
+}
+
 //===----------------------------------------------------------------------===//
 // PolicyStore (serve layer)
 //===----------------------------------------------------------------------===//

@@ -187,6 +187,24 @@ TEST(Timed, DeterministicCycles) {
   EXPECT_EQ(A.Counters.IssuedInstrs, B.Counters.IssuedInstrs);
 }
 
+TEST(BranchFault, UnknownLabelIsNamedInBothModes) {
+  // A BRA whose label names no statement of the program: both machine
+  // models must refuse the run and say which label was missing.
+  VecAddSetup S(4);
+  sass::Program P = parseOrDie(R"(
+  [B------:R-:W-:-:S01] BRA `(.L_NOWHERE) ;
+  [B------:R-:W-:-:S01] EXIT ;
+)",
+                               "badbranch");
+  for (RunMode Mode : {RunMode::Timed, RunMode::Oracle}) {
+    RunResult R = S.Device.run(P, S.Launch, Mode);
+    EXPECT_FALSE(R.Valid);
+    EXPECT_NE(R.FaultReason.find("unknown label '.L_NOWHERE'"),
+              std::string::npos)
+        << R.FaultReason;
+  }
+}
+
 /// The §4.3 microbenchmark mechanism: a consumer issued before the
 /// producer's write-back reads the *stale* register value.
 TEST(Timed, StallCountHazardFaithful) {

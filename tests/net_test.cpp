@@ -25,6 +25,7 @@
 #include "serve/OptimizationService.h"
 #include "support/Clock.h"
 #include "support/FileLock.h"
+#include "support/StringUtils.h"
 
 #include <gtest/gtest.h>
 
@@ -318,6 +319,29 @@ TEST(WireTest, RequestRoundTripsExactly) {
   ASSERT_TRUE(static_cast<bool>(D));
   EXPECT_FALSE(D->Config.has_value());
   EXPECT_EQ(encodeRequestFrame(*D, 7), Frame);
+}
+
+TEST(WireTest, RequestFrameLayoutIsPinned) {
+  // The config block's field order and widths are the protocol: a
+  // server must decode frames from clients built before any change.
+  OptimizeRequest R;
+  R.Kind = WorkloadKind::Softmax;
+  R.Shape = testShape(WorkloadKind::Softmax);
+  core::OptimizeConfig C = tinyConfig();
+  C.Game.Table = analysis::StallTable::builtin();
+  C.ConditionEmbedding = true;
+  C.Ppo.Lr = 1e-3;
+  C.Ppo.AnnealLr = false;
+  C.Ppo.Channels = 8;
+  C.Game.Measure.ClearL2BetweenReps = false;
+  C.Game.Measure.MaxBlocks = 2;
+  C.AutotuneSeed = 99;
+  C.NumEnvs = 2;
+  R.Config = C;
+  std::vector<uint8_t> Frame = encodeRequestFrame(R, 7);
+  EXPECT_EQ(Frame.size(), 457u);
+  EXPECT_EQ(fnv1a64(std::string(Frame.begin(), Frame.end())),
+            0xbd73e95d86fb7e45ull);
 }
 
 TEST(WireTest, ResponseRoundTripsExactly) {

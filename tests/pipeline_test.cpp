@@ -33,6 +33,13 @@ gpusim::MeasureConfig quickMeasure() {
   return M;
 }
 
+/// A serial autotuner on the quick protocol.
+triton::Autotuner quickTuner() {
+  triton::AutotuneOptions O;
+  O.Measure = quickMeasure();
+  return triton::Autotuner(O);
+}
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -41,7 +48,7 @@ gpusim::MeasureConfig quickMeasure() {
 
 TEST(AutotunerTest, PicksFastestConfig) {
   gpusim::Gpu Device;
-  triton::Autotuner Tuner(quickMeasure());
+  const triton::Autotuner Tuner = quickTuner();
   WorkloadShape Shape = paperShape(WorkloadKind::MmLeakyRelu);
   triton::AutotuneResult R =
       Tuner.tune(Device, WorkloadKind::MmLeakyRelu, Shape);
@@ -53,22 +60,9 @@ TEST(AutotunerTest, PicksFastestConfig) {
   }
 }
 
-TEST(AutotunerTest, CachesResults) {
-  gpusim::Gpu Device;
-  triton::Autotuner Tuner(quickMeasure());
-  WorkloadShape Shape = testShape(WorkloadKind::Softmax);
-  EXPECT_EQ(Tuner.cached(WorkloadKind::Softmax, Shape), nullptr);
-  triton::AutotuneResult First =
-      Tuner.tune(Device, WorkloadKind::Softmax, Shape);
-  const triton::AutotuneResult *Hit =
-      Tuner.cached(WorkloadKind::Softmax, Shape);
-  ASSERT_NE(Hit, nullptr);
-  EXPECT_EQ(Hit->Best.str(), First.Best.str());
-}
-
 TEST(AutotunerTest, SkipsNonFittingConfigs) {
   gpusim::Gpu Device;
-  triton::Autotuner Tuner(quickMeasure());
+  const triton::Autotuner Tuner = quickTuner();
   // Tiny shape: the BM=128 candidate cannot fit and must be skipped.
   WorkloadShape Shape = testShape(WorkloadKind::MmLeakyRelu);
   triton::AutotuneResult R =
@@ -100,7 +94,7 @@ triton::AutotuneResult sweepWith(unsigned Workers, uint64_t BaseSeed = 7) {
   O.Measure.NoiseStddev = 0.003; // Noise on: seeding must still pin it.
   O.Workers = Workers;
   O.BaseSeed = BaseSeed;
-  triton::Autotuner Tuner(O);
+  const triton::Autotuner Tuner(O);
   return Tuner.tune(Device, WorkloadKind::MmLeakyRelu,
                     testShape(WorkloadKind::MmLeakyRelu));
 }
@@ -138,19 +132,14 @@ TEST(AutotunerSweepTest, RepeatedRunsWithSameSeedAreIdentical) {
   EXPECT_NE(sweepWith(2).BestUs, Reseeded.BestUs);
 }
 
-TEST(AutotunerSweepTest, InvalidSweepIsFlaggedAndCachedAsInvalid) {
+TEST(AutotunerSweepTest, InvalidSweepIsFlagged) {
   gpusim::Gpu Device;
-  triton::Autotuner Tuner(quickMeasure());
+  const triton::Autotuner Tuner = quickTuner();
   triton::AutotuneResult R =
       Tuner.tune(Device, WorkloadKind::MmLeakyRelu, impossibleGemmShape());
   EXPECT_FALSE(R.Valid);
   EXPECT_TRUE(R.Sweep.empty());
   EXPECT_GE(R.BestUs, 1e29); // Sentinel, not a garbage "winner" time.
-  // The cached entry must carry the same failure flag.
-  const triton::AutotuneResult *Hit =
-      Tuner.cached(WorkloadKind::MmLeakyRelu, impossibleGemmShape());
-  ASSERT_NE(Hit, nullptr);
-  EXPECT_FALSE(Hit->Valid);
 }
 
 TEST(AutotunerSweepTest, SweepAllMatchesIndividualTunes) {
@@ -163,37 +152,33 @@ TEST(AutotunerSweepTest, SweepAllMatchesIndividualTunes) {
   triton::AutotuneOptions O;
   O.Measure = quickMeasure();
   O.Workers = 4;
-  triton::Autotuner Batch(O);
-  std::vector<triton::AutotuneResult> All = Batch.sweepAll(Device, Requests);
+  const triton::Autotuner Tuner(O);
+  std::vector<triton::AutotuneResult> All = Tuner.sweepAll(Device, Requests);
   ASSERT_EQ(All.size(), Requests.size());
-  EXPECT_EQ(Batch.sweepsPerformed(), Requests.size());
   for (size_t I = 0; I < Requests.size(); ++I) {
-    triton::Autotuner Single(O);
     triton::AutotuneResult Individual =
-        Single.tune(Device, Requests[I].Kind, Requests[I].Shape);
+        Tuner.tune(Device, Requests[I].Kind, Requests[I].Shape);
     expectSweepIdentical(All[I], Individual);
   }
 }
 
-TEST(AutotunerSweepTest, SweepAllDeduplicatesRepeatedRequests) {
+TEST(AutotunerSweepTest, SweepAllRepeatedRequestsAgree) {
   gpusim::Gpu Device;
   triton::SweepRequest R{WorkloadKind::Softmax,
                          testShape(WorkloadKind::Softmax)};
-  triton::Autotuner Tuner(quickMeasure());
+  const triton::Autotuner Tuner = quickTuner();
   std::vector<triton::AutotuneResult> All =
       Tuner.sweepAll(Device, {R, R, R});
   ASSERT_EQ(All.size(), 3u);
-  EXPECT_EQ(Tuner.sweepsPerformed(), 1u);
   expectSweepIdentical(All[0], All[1]);
   expectSweepIdentical(All[0], All[2]);
 }
 
-TEST(AutotunerSweepTest, ConcurrentTunesShareOneSweep) {
-  // Single-sweep-per-key guarantee (mirrors MeasurementCache): threads
-  // racing on one (kind, shape) run the grid once and all observe the
-  // published result.
+TEST(AutotunerSweepTest, ConcurrentTunesAgree) {
+  // One immutable Autotuner shared by racing threads: every thread
+  // sweeps on its own device copies and gets the same result.
   gpusim::Gpu Device;
-  triton::Autotuner Tuner(quickMeasure());
+  const triton::Autotuner Tuner = quickTuner();
   WorkloadShape Shape = testShape(WorkloadKind::MmLeakyRelu);
   std::vector<triton::AutotuneResult> Results(4);
   std::vector<std::thread> Threads;
@@ -203,7 +188,6 @@ TEST(AutotunerSweepTest, ConcurrentTunesShareOneSweep) {
     });
   for (std::thread &T : Threads)
     T.join();
-  EXPECT_EQ(Tuner.sweepsPerformed(), 1u);
   for (size_t T = 1; T < Results.size(); ++T)
     expectSweepIdentical(Results[0], Results[T]);
 }

@@ -483,6 +483,34 @@ TEST(ServeTest, RequestKeySeparatesConfigsAndGpuTypes) {
             OptimizationService::requestKey(D, Defaults));
 }
 
+TEST(ServeTest, RequestKeyDigestIsPinned) {
+  // Deployed cubins and stored policies are filed under these keys, so
+  // the digest of the result-relevant field list must never drift: a
+  // changed digest orphans every deployment made before it.
+  OptimizeRequest R = request(WorkloadKind::Softmax);
+  const core::OptimizeConfig Defaults;
+  EXPECT_EQ(OptimizationService::requestKey(R, Defaults),
+            "A100-SIM-softmax_1x512x512x2048_4x4096x32_8x256-"
+            "cfgb2d692934ec090a2-050aca106d00d82a");
+
+  // Non-default values of every field type: stall-table entries,
+  // doubles, unsigneds, bools and 64-bit fields.
+  core::OptimizeConfig C = tinyConfig();
+  C.Game.Table = analysis::StallTable::builtin();
+  C.ConditionEmbedding = true;
+  C.Ppo.Lr = 1e-3;
+  C.Ppo.AnnealLr = false;
+  C.Ppo.Channels = 8;
+  C.Game.Measure.ClearL2BetweenReps = false;
+  C.Game.Measure.MaxBlocks = 2;
+  C.AutotuneSeed = 99;
+  C.NumEnvs = 2;
+  R.Config = C;
+  EXPECT_EQ(OptimizationService::requestKey(R, Defaults),
+            "A100-SIM-softmax_1x512x512x2048_4x4096x32_8x256-"
+            "cfga5ed8592db34c0d4-cb8df21e51402484");
+}
+
 TEST(ServeTest, ThrowingCallbacksAreContainedOnBothPaths) {
   gpusim::Gpu Device;
   std::string Dir = freshDir("cuasmrl_serve_throw");
