@@ -282,7 +282,7 @@ struct NetFixture {
 static void BM_NetForward(benchmark::State &State) {
   NetFixture N;
   for (auto _ : State) {
-    rl::ActorCritic::Output Out = N.Net.forward(N.Obs, N.Mask);
+    rl::ActorCritic::Output Out = N.Net.forward({{N.Obs, N.Mask}});
     benchmark::DoNotOptimize(Out.Value.item());
   }
 }
@@ -297,9 +297,9 @@ static void BM_NetForwardBackward(benchmark::State &State) {
   for (auto _ : State) {
     for (rl::Tensor &P : Params)
       P.zeroGrad();
-    rl::ActorCritic::Output Out = N.Net.forward(N.Obs, N.Mask);
+    rl::ActorCritic::Output Out = N.Net.forward({{N.Obs, N.Mask}});
     rl::Tensor Loss =
-        rl::add(rl::gather(rl::logSoftmax(Out.MaskedLogits), 0), Out.Value);
+        rl::add(rl::gather(rl::logSoftmax(Out.MaskedLogits), {0}), Out.Value);
     Loss.backward();
     benchmark::DoNotOptimize(Params.front().grad().data());
   }

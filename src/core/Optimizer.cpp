@@ -13,11 +13,16 @@
 #include <algorithm>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 
 using namespace cuasmrl;
 using namespace cuasmrl::core;
 
-Optimizer::Optimizer(OptimizeConfig C) : Config(std::move(C)) {}
+Optimizer::Optimizer(OptimizeConfig C) : Config(std::move(C)) {
+  if (Config.Game.Measure.RepeatIters == 0)
+    throw std::invalid_argument(
+        "OptimizeConfig::Game.Measure.RepeatIters must be at least 1");
+}
 
 namespace {
 
@@ -56,6 +61,7 @@ void finishWorkload(const OptimizeConfig &Config, gpusim::Gpu &Device,
   // traffic and simulations are included.
   for (GameEnvAdapter *A : Adapters) {
     Result.KernelExecutions += A->game().measurementsTaken();
+    Result.SimulatedRuns += A->game().simulatedRuns();
     // Per-stage simulator counters; summed across games the total is
     // independent of which sibling ran a shared-cache measurement.
     Result.RolloutCounters += A->game().simCounters();

@@ -138,7 +138,12 @@ struct OptimizeResult {
   std::vector<double> EpisodeReturns;
   std::vector<env::AppliedAction> Trace; ///< Greedy replay (§5.7).
   bool Verified = false;                 ///< Probabilistic test passed.
-  unsigned KernelExecutions = 0;         ///< Measurement cost (§7).
+  /// Measurement cost (§7): the kernel executions the §3.6 protocol
+  /// prescribes for every game measurement.
+  unsigned KernelExecutions = 0;
+  /// The timed runs those measurements actually simulated, which stop
+  /// at the memory fixed point (gpusim::measureKernel).
+  unsigned SimulatedRuns = 0;
   /// Rollout-wide counter aggregate: shared measurement-cache
   /// accounting (MeasureCacheHits/Misses) plus the per-stage simulator
   /// counters summed over every game's own measurements (select /
@@ -202,6 +207,9 @@ struct MultiOptimizeResult {
 /// hands every worker a private Gpu copy and a per-job Rng stream).
 class Optimizer {
 public:
+  /// \throws std::invalid_argument naming the field when
+  /// Game.Measure.RepeatIters is 0: every reward would average zero
+  /// repetitions (the wire decoder refuses the same config).
   explicit Optimizer(OptimizeConfig Config = OptimizeConfig());
 
   /// Runs the full hierarchical optimization for one workload. When

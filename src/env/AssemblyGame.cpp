@@ -50,7 +50,7 @@ AssemblyGame::AssemblyGame(gpusim::Gpu &Dev,
     : OwnedDevice(Cfg.PrivateDevice ? std::make_unique<gpusim::Gpu>(Dev)
                                     : nullptr),
       Device(OwnedDevice ? *OwnedDevice : Dev), Kernel(K),
-      Config(std::move(Cfg)), Original(K.Prog), Prog(K.Prog),
+      Config(std::move(Cfg)), Prog(K.Prog),
       Embed(Config.Context ? Embedding(K.Prog, *Config.Context)
                            : Embedding(K.Prog)),
       Analysis(analysis::analyzeStallCounts(K.Prog, Config.Table)),
@@ -294,9 +294,10 @@ bool AssemblyGame::allMasked() const {
 double AssemblyGame::simulateCurrent(uint64_t NoiseSeed) {
   gpusim::MeasureConfig MC = Config.Measure;
   MC.Seed = NoiseSeed;
-  gpusim::Measurement M =
-      measureKernel(Device, Prog, Decoded, Kernel.Launch, MC);
+  gpusim::Measurement M = measureKernel(Device, Prog, Decoded, Kernel.Launch,
+                                        MC, Config.UseActionMasking);
   Measurements += MC.WarmupIters + MC.RepeatIters;
+  SimulatedRuns += M.SimulatedRuns;
   SimCounters += M.Counters;
   if (!M.Valid)
     return std::nan("");
@@ -333,8 +334,9 @@ double AssemblyGame::measure() {
 }
 
 std::vector<float> AssemblyGame::reset() {
-  Prog = Original;
-  rebuildCaches();
+  for (auto It = EpisodeSwaps.rbegin(); It != EpisodeSwaps.rend(); ++It)
+    applySwap(*It);
+  EpisodeSwaps.clear();
   TPrev = T0;
   StepsTaken = 0;
   Trace.clear();
@@ -387,6 +389,8 @@ AssemblyGame::StepResult AssemblyGame::step(unsigned Action) {
     Res.Done = true;
     return Res;
   }
+
+  EpisodeSwaps.push_back(Upper);
 
   // Eq. 3.
   Res.Reward = (TPrev - T) / T0 * 100.0;

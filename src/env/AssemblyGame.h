@@ -49,6 +49,10 @@ struct GameConfig {
   analysis::StallTable Table = analysis::StallTable::extended();
   /// Ablation: disable masking (invalid schedules then surface as
   /// faults/corruption and terminate the episode with a penalty).
+  /// Masked play only reaches race-free schedules, which lets each
+  /// measurement skip its warmups at the memory fixed point
+  /// (gpusim::measureKernel); unmasked play keeps protocol-order
+  /// warmups.
   bool UseActionMasking = true;
   /// Penalty reward for executing an invalid schedule (unmasked mode).
   double InvalidPenalty = -10.0;
@@ -113,6 +117,9 @@ public:
     bool Invalid = false; ///< Unmasked invalid schedule was executed.
   };
 
+  /// Restores the -O3 schedule by undoing the episode's swaps, newest
+  /// first (applySwap is an involution), so the cost is that of the
+  /// episode's steps, not of the program.
   std::vector<float> reset();
   StepResult step(unsigned Action);
 
@@ -152,7 +159,13 @@ public:
   double currentTimeUs() const { return TPrev; }
   const std::vector<AppliedAction> &trace() const { return Trace; }
   const analysis::StallAnalysis &stallAnalysis() const { return Analysis; }
+  /// Kernel executions the §3.6 protocol prescribes for every
+  /// measurement this game ran itself (WarmupIters + RepeatIters each):
+  /// the §7 cost model.
   unsigned measurementsTaken() const { return Measurements; }
+  /// Timed runs those measurements actually simulated (fewer than
+  /// measurementsTaken() once runs reach the memory fixed point).
+  unsigned simulatedRuns() const { return SimulatedRuns; }
   /// Simulator pipeline counters summed over every measurement this
   /// game ran itself (last-rep counters per measurement, cache hits
   /// excluded). Which sibling runs a shared-cache measurement is an
@@ -204,7 +217,6 @@ private:
   kernels::BuiltKernel Kernel;
   GameConfig Config;
 
-  sass::Program Original;
   sass::Program Prog;
   Embedding Embed;
   analysis::StallAnalysis Analysis;
@@ -227,6 +239,8 @@ private:
   std::vector<float> Obs;         ///< Cached observation matrix.
   std::vector<size_t> RowOf;      ///< Statement index -> observation row.
   /// @}
+  /// The swaps this episode applied, oldest first; reset() undoes them.
+  std::vector<size_t> EpisodeSwaps;
 
   double T0 = 0.0;
   double TPrev = 0.0;
@@ -234,6 +248,7 @@ private:
   sass::Program BestProg;
   unsigned StepsTaken = 0;
   unsigned Measurements = 0;
+  unsigned SimulatedRuns = 0;
   gpusim::PerfCounters SimCounters;
   bool TraceEnabled = true;
   std::vector<AppliedAction> Trace;

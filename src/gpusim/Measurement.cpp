@@ -16,15 +16,15 @@ using namespace cuasmrl::gpusim;
 
 Measurement gpusim::measureKernel(Gpu &Device, const sass::Program &Prog,
                                   const KernelLaunch &Launch,
-                                  const MeasureConfig &Config) {
+                                  const MeasureConfig &Config, bool RaceFree) {
   DecodedProgram Decoded(Prog);
-  return measureKernel(Device, Prog, Decoded, Launch, Config);
+  return measureKernel(Device, Prog, Decoded, Launch, Config, RaceFree);
 }
 
 Measurement gpusim::measureKernel(Gpu &Device, const sass::Program &Prog,
                                   const DecodedProgram &Decoded,
                                   const KernelLaunch &Launch,
-                                  const MeasureConfig &Config) {
+                                  const MeasureConfig &Config, bool RaceFree) {
   Measurement Out;
   // The means below divide by the repeat count: zero must fail this
   // measurement, not kill the process (integer division is SIGFPE).
@@ -34,31 +34,41 @@ Measurement gpusim::measureKernel(Gpu &Device, const sass::Program &Prog,
     return Out;
   }
   Rng Noise(Config.Seed);
+  const GlobalMemory &Memory = Device.globalMemory();
 
-  // Warmup: primes the caches exactly like the paper's 100 warmup
-  // iterations prime the real GPU's clocks and TLBs.
-  for (unsigned I = 0; I < Config.WarmupIters; ++I) {
-    RunResult R =
-        Device.run(Prog, Decoded, Launch, RunMode::Timed, Config.MaxBlocks);
-    if (!R.Valid) {
-      Out.Valid = false;
-      Out.FaultReason = R.FaultReason;
-      return Out;
-    }
-  }
-
+  // Warmup primes the caches exactly like the paper's 100 warmup
+  // iterations prime the real GPU's clocks and TLBs; repetitions clear
+  // them first. A race-free schedule's warmups matter only for their
+  // memory effect, which no cache state changes, so when the
+  // repetitions clear the caches anyway the warmups run from cleared
+  // caches too: then each simulated run is one the protocol would
+  // repeat once memory stops changing.
+  const bool ClearWarmups = RaceFree && Config.ClearL2BetweenReps;
+  const unsigned Runs = Config.WarmupIters + Config.RepeatIters;
+  RunResult R;
+  bool FixedPoint = false;
   double Sum = 0.0, SumSq = 0.0;
   uint64_t CycleSum = 0;
-  for (unsigned I = 0; I < Config.RepeatIters; ++I) {
-    if (Config.ClearL2BetweenReps)
-      Device.clearCaches();
-    RunResult R =
-        Device.run(Prog, Decoded, Launch, RunMode::Timed, Config.MaxBlocks);
-    if (!R.Valid) {
-      Out.Valid = false;
-      Out.FaultReason = R.FaultReason;
-      return Out;
+  for (unsigned I = 0; I < Runs; ++I) {
+    const bool Warmup = I < Config.WarmupIters;
+    if (!FixedPoint) {
+      const bool Clear = Warmup ? ClearWarmups : Config.ClearL2BetweenReps;
+      if (Clear)
+        Device.clearCaches();
+      const uint64_t StoresBefore = Memory.changingStores();
+      R = Device.run(Prog, Decoded, Launch, RunMode::Timed, Config.MaxBlocks);
+      ++Out.SimulatedRuns;
+      if (!R.Valid) {
+        Out.Valid = false;
+        Out.FaultReason = R.FaultReason;
+        return Out;
+      }
+      // From cleared caches over unchanged memory, every later run of
+      // this loop would start from the state this one started from.
+      FixedPoint = Clear && Memory.changingStores() == StoresBefore;
     }
+    if (Warmup)
+      continue;
     double Jitter = 1.0 + Noise.normal(0.0, Config.NoiseStddev);
     double TimeUs = R.TimeUs * Jitter;
     Sum += TimeUs;

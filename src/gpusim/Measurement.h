@@ -14,6 +14,13 @@
 /// the RL reward sees the same noisy-oracle statistics the paper's agent
 /// saw.
 ///
+/// Determinism also lets a measurement stop simulating at its memory
+/// fixed point: caches hold tags only, so a run from cleared caches that
+/// changes no memory word is what every later run from cleared caches
+/// would be, bit for bit. The results (and the device left behind) are
+/// those of the full protocol; Measurement::SimulatedRuns counts the
+/// runs actually simulated (docs/SIMULATOR.md, "Measurement").
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef CUASMRL_GPUSIM_MEASUREMENT_H
@@ -53,6 +60,10 @@ struct Measurement {
   double StddevUs = 0.0;
   uint64_t Cycles = 0;        ///< Mean cycles (noise-free).
   PerfCounters Counters;      ///< From the last repetition.
+  /// Timed runs simulated: at most the protocol's WarmupIters +
+  /// RepeatIters (the §7 cost count), fewer once a run reaches the
+  /// memory fixed point.
+  unsigned SimulatedRuns = 0;
 };
 
 /// Times \p Prog on \p Device with the paper's warmup/repeat protocol.
@@ -60,19 +71,34 @@ struct Measurement {
 /// every warmup/repeat run. A config with zero repeat iterations gives
 /// an invalid measurement.
 ///
+/// Every field of the result, and the device's memory and cache
+/// contents afterwards, are those of the full protocol; only the number
+/// of runs simulated to get there shrinks. A repetition that runs from
+/// cleared caches (ClearL2BetweenReps) and changes no memory word
+/// stands for every remaining repetition, for any schedule. \p RaceFree
+/// promises that the schedule's memory effect and validity do not
+/// depend on the cache state it starts in (masked play and the -O3
+/// schedules keep it; unmasked play need not, see
+/// OracleTimedDivergenceTest). With the promise and ClearL2BetweenReps,
+/// every warmup also runs from cleared caches, and one that changes
+/// nothing stands for the remaining warmups and every repetition. Each
+/// repetition keeps its own noise draw.
+///
 /// Thread-safety: mutates \p Device (memory, cache state) — callers
 /// running concurrently must each own their device; concurrent calls
 /// on one Gpu are a data race.
 Measurement measureKernel(Gpu &Device, const sass::Program &Prog,
                           const KernelLaunch &Launch,
-                          const MeasureConfig &Config = MeasureConfig());
+                          const MeasureConfig &Config = MeasureConfig(),
+                          bool RaceFree = false);
 
 /// As above with a caller-maintained pre-decoded image (the assembly
 /// game updates its image in O(1) per swap instead of redecoding).
 Measurement measureKernel(Gpu &Device, const sass::Program &Prog,
                           const DecodedProgram &Decoded,
                           const KernelLaunch &Launch,
-                          const MeasureConfig &Config = MeasureConfig());
+                          const MeasureConfig &Config = MeasureConfig(),
+                          bool RaceFree = false);
 
 /// Shared schedule -> latency memoization for the reward loop.
 ///

@@ -77,7 +77,11 @@ void GlobalMemory::storeWord(uint64_t Addr, uint32_t Value) {
     Fault = true;
     return;
   }
-  std::memcpy(Seg->Data.data() + (Addr - Seg->Base), &Value, sizeof(Value));
+  uint8_t *Word = Seg->Data.data() + (Addr - Seg->Base);
+  if (std::memcmp(Word, &Value, sizeof(Value)) == 0)
+    return;
+  std::memcpy(Word, &Value, sizeof(Value));
+  ++ChangingStores;
 }
 
 uint64_t GlobalMemory::bytesAllocated() const {

@@ -57,6 +57,11 @@ public:
   uint32_t loadWord(uint64_t Addr);
   void storeWord(uint64_t Addr, uint32_t Value);
 
+  /// Device stores so far that changed the word they wrote (a store of
+  /// the value already there does not count). A run that leaves this
+  /// unchanged left every word as it found it.
+  uint64_t changingStores() const { return ChangingStores; }
+
   bool faulted() const { return Fault; }
   void clearFault() { Fault = false; }
 
@@ -77,6 +82,7 @@ private:
   /// simulator's load/store path.
   mutable size_t LastSeg = 0;
   uint64_t NextBase = 0x10000000ull;
+  uint64_t ChangingStores = 0;
   bool Fault = false;
 };
 

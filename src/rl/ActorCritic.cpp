@@ -10,6 +10,7 @@
 #include <cassert>
 #include <cmath>
 #include <istream>
+#include <numeric>
 #include <optional>
 #include <ostream>
 
@@ -81,32 +82,45 @@ ActorCritic::ActorCritic(NetConfig C, Rng &R) : Config(C) {
 }
 
 ActorCritic::Output
-ActorCritic::forward(const std::vector<float> &Obs,
-                     const std::vector<uint8_t> &Mask) const {
-  // The row count comes from the observation itself: the conv stack
+ActorCritic::forward(const std::vector<Input> &Batch) const {
+  // Row counts come from the observations themselves: the conv stack
   // and mean/max pooling are length-free, so one network consumes
   // observations from differently sized kernels (Config.Length is only
   // the pool maximum, for documentation and sizing).
-  size_t F = Config.Features;
-  assert(F > 0 && !Obs.empty() && Obs.size() % F == 0 &&
-         "observation shape mismatch");
-  size_t L = Obs.size() / F;
-  assert(Mask.size() == Config.Actions && "mask shape mismatch");
+  const size_t F = Config.Features;
+  std::vector<size_t> Lens;
+  Lens.reserve(Batch.size());
+  for (const Input &In : Batch) {
+    assert(F > 0 && !In.Obs.empty() && In.Obs.size() % F == 0 &&
+           "observation shape mismatch");
+    assert(In.Mask.size() == Config.Actions && "mask shape mismatch");
+    Lens.push_back(In.Obs.size() / F);
+  }
+  const size_t Total = std::accumulate(Lens.begin(), Lens.end(), size_t(0));
 
-  // Transpose [L x F] row-major into channel-major [F x L].
-  std::vector<float> ChanMajor(F * L);
-  for (size_t Row = 0; Row < L; ++Row)
-    for (size_t Feat = 0; Feat < F; ++Feat)
-      ChanMajor[Feat * L + Row] = Obs[Row * F + Feat];
+  // Transpose each [L x F] row-major observation into its channel-major
+  // [F x L] block of the ragged batch.
+  std::vector<float> ChanMajor(F * Total);
+  std::vector<uint8_t> Masks;
+  Masks.reserve(Batch.size() * Config.Actions);
+  float *Block = ChanMajor.data();
+  for (size_t S = 0; S < Batch.size(); ++S) {
+    const size_t L = Lens[S];
+    for (size_t Row = 0; Row < L; ++Row)
+      for (size_t Feat = 0; Feat < F; ++Feat)
+        Block[Feat * L + Row] = Batch[S].Obs[Row * F + Feat];
+    Block += F * L;
+    Masks.insert(Masks.end(), Batch[S].Mask.begin(), Batch[S].Mask.end());
+  }
 
-  Tensor X = Tensor::fromVector(std::move(ChanMajor), {F, L});
-  X = relu(conv1d(X, W1, B1));
-  X = relu(conv1d(X, W2, B2));
-  Tensor Pooled = concat(meanPool(X), maxPool(X));
+  Tensor X = Tensor::fromVector(std::move(ChanMajor), {F, Total});
+  X = relu(conv1d(X, W1, B1, Lens));
+  X = relu(conv1d(X, W2, B2, Lens));
+  Tensor Pooled = concat(meanPool(X, Lens), maxPool(X, Lens));
   Tensor H = relu(linear(Wh, Pooled, Bh));
 
   Output Out;
-  Out.MaskedLogits = maskedFill(linear(Wp, H, Bp), Mask);
+  Out.MaskedLogits = maskedFill(linear(Wp, H, Bp), Masks);
   Out.Value = linear(Wv, H, Bv);
   return Out;
 }

@@ -48,18 +48,26 @@ class ActorCritic {
 public:
   ActorCritic(NetConfig Config, Rng &InitRng);
 
-  struct Output {
-    Tensor MaskedLogits; ///< [Actions], invalid entries at -1e9.
-    Tensor Value;        ///< [1].
+  /// One observation of a batch: row-major [rows x Features] as
+  /// produced by env::Embedding, and its action mask, which must span
+  /// Config.Actions entries (shorter action spaces padded with zeros).
+  struct Input {
+    const std::vector<float> &Obs;
+    const std::vector<uint8_t> &Mask;
   };
 
-  /// Builds the forward graph for one observation (row-major
-  /// [rows x Features] as produced by env::Embedding; the row count is
-  /// derived from the observation, so observations from differently
-  /// sized kernels flow through one network). \p Mask must span
-  /// Config.Actions entries (shorter action spaces padded with zeros).
-  Output forward(const std::vector<float> &Obs,
-                 const std::vector<uint8_t> &Mask) const;
+  struct Output {
+    Tensor MaskedLogits; ///< [B, Actions], invalid entries at -1e9.
+    Tensor Value;        ///< [B, 1]: one value per observation.
+  };
+
+  /// Builds the forward graph for a batch of B observations. Each row
+  /// count is derived from its observation, so observations from
+  /// differently sized kernels share one network and one batch (a
+  /// ragged batch, see rl::conv1d). Rollouts and greedy replay pass one
+  /// observation; the PPO update passes a minibatch, whose values and
+  /// gradients equal those of one-observation graphs (rl/Tensor.h).
+  Output forward(const std::vector<Input> &Batch) const;
 
   /// All trainable parameters (stable order; used by Adam/checkpoints).
   std::vector<Tensor> parameters() const;

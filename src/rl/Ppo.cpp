@@ -18,6 +18,11 @@ Env::~Env() = default;
 
 namespace {
 
+/// A constant (gradient-free) 1-D tensor.
+Tensor constant(const std::vector<float> &Values) {
+  return Tensor::fromVector(Values, {Values.size()});
+}
+
 NetConfig netConfigFor(RolloutRunner &Runner, const PpoConfig &Config) {
   // Geometry over the WHOLE pool, not env 0: a mixed-kernel pool needs
   // the max row count and max action count (smaller envs pad their
@@ -92,7 +97,7 @@ UpdateStats PpoTrainer::updateFromBatch(const TrajectoryBatch &Batch) {
     Adv[J].resize(T);
     Ret[J].resize(T);
     float NextValue =
-        Net.forward(Traj.BootstrapObs, Traj.BootstrapMask).Value.item();
+        Net.forward({{Traj.BootstrapObs, Traj.BootstrapMask}}).Value.item();
     float Gae = 0.0f;
     for (size_t Step = T; Step-- > 0;) {
       const Transition &S = Traj.Steps[Step];
@@ -148,72 +153,87 @@ UpdateStats PpoTrainer::updateFromBatch(const TrajectoryBatch &Batch) {
       }
       double Std = std::sqrt(Var / Count) + 1e-8;
 
-      Tensor Loss = Tensor::scalar(0.0f);
-      double KlAccum = 0, ClipAccum = 0, EntAccum = 0, PlAccum = 0,
-             VlAccum = 0;
+      // The minibatch as one graph, samples in shuffled order; the
+      // per-sample constants enter as constant tensors.
+      std::vector<const Transition *> Samples;
+      std::vector<ActorCritic::Input> Inputs;
+      std::vector<size_t> Actions;
+      std::vector<float> NegOldLogProb, Advantage, NegReturn, NegOldValue,
+          OldValueMinusReturn;
+      Inputs.reserve(Count);
       for (size_t I = Start; I < End; ++I) {
         const Transition &S = Trajs[Index[I].first].Steps[Index[I].second];
+        Samples.push_back(&S);
         float A = static_cast<float>(
             Config.NormAdvantage
                 ? (Adv[Index[I].first][Index[I].second] - Mean) / Std
                 : Adv[Index[I].first][Index[I].second]);
         float R = Ret[Index[I].first][Index[I].second];
-
-        ActorCritic::Output Out = Net.forward(S.Obs, S.Mask);
-        Tensor LogP = logSoftmax(Out.MaskedLogits);
-        Tensor NewLogProb = gather(LogP, S.Action);
-        Tensor Ratio =
-            expT(scalarAdd(NewLogProb, -S.LogProb)); // exp(new - old).
-
-        // Clipped surrogate objective.
-        Tensor Surr1 = scalarMul(Ratio, A);
-        Tensor Surr2 = scalarMul(
-            clampRange(Ratio, 1.0f - static_cast<float>(Config.ClipCoef),
-                       1.0f + static_cast<float>(Config.ClipCoef)),
-            A);
-        Tensor PolicyLoss = neg(minElem(Surr1, Surr2));
-
-        // Value loss, optionally clipped around the old value.
-        Tensor VDiff = scalarAdd(Out.Value, -R);
-        Tensor VLoss = mul(VDiff, VDiff);
-        if (Config.ClipVLoss) {
-          Tensor VClipped =
-              scalarAdd(clampRange(scalarAdd(Out.Value, -S.Value),
-                                   -static_cast<float>(Config.ClipCoef),
-                                   static_cast<float>(Config.ClipCoef)),
-                        S.Value - R);
-          Tensor VLossClipped = mul(VClipped, VClipped);
-          // max(a, b) = -min(-a, -b).
-          VLoss = neg(minElem(neg(VLoss), neg(VLossClipped)));
-        }
-
-        // Entropy of the masked categorical.
-        Tensor Probs = expT(LogP);
-        Tensor Entropy = neg(sumT(mul(Probs, LogP)));
-
-        Tensor SampleLoss =
-            add(PolicyLoss,
-                add(scalarMul(VLoss, static_cast<float>(Config.VfCoef) *
-                                         0.5f),
-                    scalarMul(Entropy,
-                              -static_cast<float>(Config.EntCoef))));
-        Loss = add(Loss, SampleLoss);
-
-        // Diagnostics.
-        double RatioVal = Ratio.item();
-        double LogRatio = NewLogProb.item() - S.LogProb;
-        KlAccum += (RatioVal - 1.0) - LogRatio;
-        ClipAccum += std::fabs(RatioVal - 1.0) > Config.ClipCoef;
-        EntAccum += Entropy.item();
-        PlAccum += PolicyLoss.item();
-        VlAccum += VLoss.item();
+        Inputs.push_back({S.Obs, S.Mask});
+        Actions.push_back(S.Action);
+        NegOldLogProb.push_back(-S.LogProb);
+        Advantage.push_back(A);
+        NegReturn.push_back(-R);
+        NegOldValue.push_back(-S.Value);
+        OldValueMinusReturn.push_back(S.Value - R);
       }
 
-      Loss = scalarMul(Loss, 1.0f / static_cast<float>(Count));
+      ActorCritic::Output Out = Net.forward(Inputs);
+      Tensor LogP = logSoftmax(Out.MaskedLogits);
+      Tensor NewLogProb = gather(LogP, Actions);
+      Tensor Ratio = expT(
+          add(NewLogProb, constant(NegOldLogProb))); // exp(new - old).
+
+      // Clipped surrogate objective.
+      Tensor AdvT = constant(Advantage);
+      Tensor Surr1 = mul(Ratio, AdvT);
+      Tensor Surr2 =
+          mul(clampRange(Ratio, 1.0f - static_cast<float>(Config.ClipCoef),
+                         1.0f + static_cast<float>(Config.ClipCoef)),
+              AdvT);
+      Tensor PolicyLoss = neg(minElem(Surr1, Surr2));
+
+      // Value loss, optionally clipped around the old value.
+      Tensor VDiff = add(Out.Value, constant(NegReturn));
+      Tensor VLoss = mul(VDiff, VDiff);
+      if (Config.ClipVLoss) {
+        Tensor VClipped =
+            add(clampRange(add(Out.Value, constant(NegOldValue)),
+                           -static_cast<float>(Config.ClipCoef),
+                           static_cast<float>(Config.ClipCoef)),
+                constant(OldValueMinusReturn));
+        Tensor VLossClipped = mul(VClipped, VClipped);
+        // max(a, b) = -min(-a, -b).
+        VLoss = neg(minElem(neg(VLoss), neg(VLossClipped)));
+      }
+
+      // Entropy of the masked categorical.
+      Tensor Probs = expT(LogP);
+      Tensor Entropy = neg(rowSums(mul(Probs, LogP)));
+
+      Tensor SampleLoss = add(
+          PolicyLoss,
+          add(scalarMul(VLoss, static_cast<float>(Config.VfCoef) * 0.5f),
+              scalarMul(Entropy, -static_cast<float>(Config.EntCoef))));
+      Tensor Loss =
+          scalarMul(sumT(SampleLoss), 1.0f / static_cast<float>(Count));
       Optimizer.zeroGrad();
       Loss.backward();
       clipGradNorm(Net.parameters(), Config.MaxGradNorm);
       Optimizer.step();
+
+      // Diagnostics.
+      double KlAccum = 0, ClipAccum = 0, EntAccum = 0, PlAccum = 0,
+             VlAccum = 0;
+      for (size_t J = 0; J < Count; ++J) {
+        double RatioVal = Ratio.data()[J];
+        double LogRatio = NewLogProb.data()[J] - Samples[J]->LogProb;
+        KlAccum += (RatioVal - 1.0) - LogRatio;
+        ClipAccum += std::fabs(RatioVal - 1.0) > Config.ClipCoef;
+        EntAccum += Entropy.data()[J];
+        PlAccum += PolicyLoss.data()[J];
+        VlAccum += VLoss.data()[J];
+      }
 
       SumPolicyLoss += PlAccum / Count;
       SumValueLoss += VlAccum / Count;
@@ -286,7 +306,7 @@ std::vector<unsigned> PpoTrainer::playGreedy(Env &E, unsigned MaxSteps) {
     // Pad up to the net's action count (mixed-kernel nets): padded
     // logits sit at the mask fill value, below every legal action.
     RolloutRunner::padMaskToNet(Mask, Net.config().Actions);
-    ActorCritic::Output Out = Net.forward(Obs, Mask);
+    ActorCritic::Output Out = Net.forward({{Obs, Mask}});
     const std::vector<float> &Logits = Out.MaskedLogits.data();
     unsigned Action = static_cast<unsigned>(std::distance(
         Logits.begin(), std::max_element(Logits.begin(), Logits.end())));

@@ -92,7 +92,7 @@ void RolloutRunner::collectSlot(const ActorCritic &Net, unsigned Steps,
     T.Mask = E.actionMask();
     padMaskToNet(T.Mask, Net.config().Actions);
 
-    ActorCritic::Output Fwd = Net.forward(T.Obs, T.Mask);
+    ActorCritic::Output Fwd = Net.forward({{T.Obs, T.Mask}});
     T.Action =
         sampleCategorical(Fwd.MaskedLogits.data(), SlotRngs[Slot], T.LogProb);
     T.Value = Fwd.Value.item();

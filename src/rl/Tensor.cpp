@@ -12,6 +12,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <numeric>
 
 using namespace cuasmrl;
 using namespace cuasmrl::rl;
@@ -94,6 +95,19 @@ std::shared_ptr<TensorNode> makeNode(std::vector<size_t> Shape,
     N->RequiresGrad = N->RequiresGrad || P->RequiresGrad;
   N->Parents = std::move(Parents);
   return N;
+}
+
+/// Rows of a batched operand: [B, N] is B rows, a 1-D tensor one.
+size_t rowsOf(const Tensor &A) {
+  return A.shape().size() == 2 ? A.shape()[0] : 1;
+}
+
+/// The shape of a per-row op's result with \p N entries per row, 1-D
+/// for a 1-D operand.
+std::vector<size_t> rowShape(const Tensor &A, size_t N) {
+  if (A.shape().size() == 2)
+    return {A.shape()[0], N};
+  return {N};
 }
 
 } // namespace
@@ -242,20 +256,6 @@ Tensor rl::scalarMul(const Tensor &A, float Sc) {
   return Tensor(N);
 }
 
-Tensor rl::scalarAdd(const Tensor &A, float Sc) {
-  auto N = makeNode(A.shape(), {A.node()});
-  for (size_t I = 0; I < N->size(); ++I)
-    N->Data[I] = A.data()[I] + Sc;
-  auto An = A.node();
-  std::weak_ptr<TensorNode> Self = N;
-  N->Backward = [An, Self] {
-    auto S = Self.lock();
-    for (size_t I = 0; I < S->size(); ++I)
-      An->Grad[I] += S->Grad[I];
-  };
-  return Tensor(N);
-}
-
 Tensor rl::sumT(const Tensor &A) {
   auto N = makeNode({1}, {A.node()});
   float Total = 0.0f;
@@ -276,32 +276,66 @@ Tensor rl::meanT(const Tensor &A) {
   return scalarMul(sumT(A), 1.0f / static_cast<float>(A.size()));
 }
 
-Tensor rl::concat(const Tensor &A, const Tensor &B) {
-  auto N = makeNode({A.size() + B.size()}, {A.node(), B.node()});
-  std::copy(A.data().begin(), A.data().end(), N->Data.begin());
-  std::copy(B.data().begin(), B.data().end(),
-            N->Data.begin() + A.size());
-  auto An = A.node(), Bn = B.node();
+Tensor rl::rowSums(const Tensor &A) {
+  const size_t Rows = rowsOf(A), Cols = A.size() / Rows;
+  auto N = makeNode({Rows}, {A.node()});
+  for (size_t R = 0; R < Rows; ++R) {
+    float Total = 0.0f;
+    for (size_t I = 0; I < Cols; ++I)
+      Total += A.data()[R * Cols + I];
+    N->Data[R] = Total;
+  }
+  auto An = A.node();
   std::weak_ptr<TensorNode> Self = N;
-  N->Backward = [An, Bn, Self] {
+  N->Backward = [An, Self, Rows, Cols] {
     auto S = Self.lock();
-    for (size_t I = 0; I < An->size(); ++I)
-      An->Grad[I] += S->Grad[I];
-    for (size_t I = 0; I < Bn->size(); ++I)
-      Bn->Grad[I] += S->Grad[An->size() + I];
+    for (size_t R = 0; R < Rows; ++R)
+      for (size_t I = 0; I < Cols; ++I)
+        An->Grad[R * Cols + I] += S->Grad[R];
   };
   return Tensor(N);
 }
 
-Tensor rl::gather(const Tensor &A, size_t Index) {
-  assert(Index < A.size());
-  auto N = makeNode({1}, {A.node()});
-  N->Data[0] = A.data()[Index];
+Tensor rl::concat(const Tensor &A, const Tensor &B) {
+  const size_t Rows = rowsOf(A);
+  assert(rowsOf(B) == Rows && "concat operands differ in rows");
+  const size_t NA = A.size() / Rows, NB = B.size() / Rows;
+  auto N = makeNode(rowShape(A, NA + NB), {A.node(), B.node()});
+  for (size_t R = 0; R < Rows; ++R) {
+    float *Row = N->Data.data() + R * (NA + NB);
+    std::copy_n(A.data().begin() + R * NA, NA, Row);
+    std::copy_n(B.data().begin() + R * NB, NB, Row + NA);
+  }
+  auto An = A.node(), Bn = B.node();
+  std::weak_ptr<TensorNode> Self = N;
+  N->Backward = [An, Bn, Self, Rows, NA, NB] {
+    auto S = Self.lock();
+    for (size_t R = 0; R < Rows; ++R) {
+      const float *G = S->Grad.data() + R * (NA + NB);
+      for (size_t I = 0; I < NA; ++I)
+        An->Grad[R * NA + I] += G[I];
+      for (size_t I = 0; I < NB; ++I)
+        Bn->Grad[R * NB + I] += G[NA + I];
+    }
+  };
+  return Tensor(N);
+}
+
+Tensor rl::gather(const Tensor &A, const std::vector<size_t> &Index) {
+  const size_t Rows = Index.size();
+  assert(Rows == rowsOf(A) && "one index per row");
+  const size_t Cols = A.size() / Rows;
+  auto N = makeNode({Rows}, {A.node()});
+  for (size_t R = 0; R < Rows; ++R) {
+    assert(Index[R] < Cols);
+    N->Data[R] = A.data()[R * Cols + Index[R]];
+  }
   auto An = A.node();
   std::weak_ptr<TensorNode> Self = N;
-  N->Backward = [An, Self, Index] {
+  N->Backward = [An, Self, Index, Cols] {
     auto S = Self.lock();
-    An->Grad[Index] += S->Grad[0];
+    for (size_t R = 0; R < Index.size(); ++R)
+      An->Grad[R * Cols + Index[R]] += S->Grad[R];
   };
   return Tensor(N);
 }
@@ -309,29 +343,39 @@ Tensor rl::gather(const Tensor &A, size_t Index) {
 Tensor rl::linear(const Tensor &W, const Tensor &X, const Tensor &B) {
   assert(W.shape().size() == 2 && "weight must be [Out, In]");
   size_t Out = W.shape()[0], In = W.shape()[1];
-  assert(X.size() == In && B.size() == Out);
-  auto N = makeNode({Out}, {W.node(), X.node(), B.node()});
-  for (size_t O = 0; O < Out; ++O) {
-    float Acc = B.data()[O];
-    const float *Row = W.data().data() + O * In;
-    for (size_t I = 0; I < In; ++I)
-      Acc += Row[I] * X.data()[I];
-    N->Data[O] = Acc;
+  size_t Rows = rowsOf(X);
+  assert(X.size() == Rows * In && B.size() == Out);
+  auto N = makeNode(rowShape(X, Out), {W.node(), X.node(), B.node()});
+  for (size_t R = 0; R < Rows; ++R) {
+    const float *XRow = X.data().data() + R * In;
+    for (size_t O = 0; O < Out; ++O) {
+      float Acc = B.data()[O];
+      const float *Row = W.data().data() + O * In;
+      for (size_t I = 0; I < In; ++I)
+        Acc += Row[I] * XRow[I];
+      N->Data[R * Out + O] = Acc;
+    }
   }
   auto Wn = W.node(), Xn = X.node(), Bn = B.node();
   std::weak_ptr<TensorNode> Self = N;
-  N->Backward = [Wn, Xn, Bn, Self, Out, In] {
+  N->Backward = [Wn, Xn, Bn, Self, Rows, Out, In] {
     auto S = Self.lock();
-    for (size_t O = 0; O < Out; ++O) {
-      float G = S->Grad[O];
-      if (G == 0.0f)
-        continue;
-      Bn->Grad[O] += G;
-      float *WRow = Wn->Grad.data() + O * In;
-      const float *WData = Wn->Data.data() + O * In;
-      for (size_t I = 0; I < In; ++I) {
-        WRow[I] += G * Xn->Data[I];
-        Xn->Grad[I] += G * WData[I];
+    // Row by row, so each weight and bias gradient element takes the
+    // rows' terms in row order.
+    for (size_t R = 0; R < Rows; ++R) {
+      const float *XRow = Xn->Data.data() + R * In;
+      float *XGrad = Xn->Grad.data() + R * In;
+      for (size_t O = 0; O < Out; ++O) {
+        float G = S->Grad[R * Out + O];
+        if (G == 0.0f)
+          continue;
+        Bn->Grad[O] += G;
+        float *WRow = Wn->Grad.data() + O * In;
+        const float *WData = Wn->Data.data() + O * In;
+        for (size_t I = 0; I < In; ++I) {
+          WRow[I] += G * XRow[I];
+          XGrad[I] += G * WData[I];
+        }
       }
     }
   };
@@ -709,72 +753,96 @@ detail::executableConv1dKernels() {
   return Sets;
 }
 
-Tensor rl::conv1d(const Tensor &X, const Tensor &W, const Tensor &B) {
+Tensor rl::conv1d(const Tensor &X, const Tensor &W, const Tensor &B,
+                  const std::vector<size_t> &Lens) {
   assert(X.shape().size() == 2 && W.shape().size() == 3);
-  const Conv1dShape S{X.shape()[0], W.shape()[0], X.shape()[1],
-                      W.shape()[2]};
-  assert(W.shape()[1] == S.Cin && B.size() == S.Cout && S.K % 2 == 1);
+  const size_t Cin = X.shape()[0], Cout = W.shape()[0], K = W.shape()[2];
+  assert(W.shape()[1] == Cin && B.size() == Cout && K % 2 == 1);
+  assert(std::accumulate(Lens.begin(), Lens.end(), size_t(0)) ==
+             X.shape()[1] &&
+         "lengths must cover the batch");
   const detail::Conv1dKernels *Kernels = &detail::conv1dKernels();
 
-  auto N = makeNode({S.Cout, S.L}, {X.node(), W.node(), B.node()});
-  Kernels->Forward(S, X.data().data(), W.data().data(), B.data().data(),
-                   N->Data.data());
+  auto N = makeNode({Cout, X.shape()[1]}, {X.node(), W.node(), B.node()});
+  for (size_t S = 0, At = 0; S < Lens.size(); At += Lens[S++])
+    Kernels->Forward({Cin, Cout, Lens[S], K}, X.data().data() + Cin * At,
+                     W.data().data(), B.data().data(),
+                     N->Data.data() + Cout * At);
   auto Xn = X.node(), Wn = W.node(), Bn = B.node();
   std::weak_ptr<TensorNode> Self = N;
-  N->Backward = [Xn, Wn, Bn, Self, S, Kernels] {
+  N->Backward = [Xn, Wn, Bn, Self, Lens, Cin, Cout, K, Kernels] {
     auto Node = Self.lock();
-    const float *G = Node->Grad.data();
-    Kernels->ParamGrad(S, G, Xn->Data.data(), Wn->Grad.data(),
-                       Bn->Grad.data());
-    // conv1's input is the observation, which needs no gradient.
-    if (Xn->RequiresGrad)
-      Kernels->InputGrad(S, G, Wn->Data.data(), Xn->Grad.data());
-  };
-  return Tensor(N);
-}
-
-Tensor rl::meanPool(const Tensor &X) {
-  assert(X.shape().size() == 2);
-  size_t C = X.shape()[0], L = X.shape()[1];
-  auto N = makeNode({C}, {X.node()});
-  for (size_t Ch = 0; Ch < C; ++Ch) {
-    float Acc = 0.0f;
-    for (size_t P = 0; P < L; ++P)
-      Acc += X.data()[Ch * L + P];
-    N->Data[Ch] = Acc / static_cast<float>(L);
-  }
-  auto Xn = X.node();
-  std::weak_ptr<TensorNode> Self = N;
-  N->Backward = [Xn, Self, C, L] {
-    auto S = Self.lock();
-    for (size_t Ch = 0; Ch < C; ++Ch) {
-      float G = S->Grad[Ch] / static_cast<float>(L);
-      for (size_t P = 0; P < L; ++P)
-        Xn->Grad[Ch * L + P] += G;
+    // Sample by sample, so each weight and bias gradient element takes
+    // the samples' terms in batch order.
+    for (size_t S = 0, At = 0; S < Lens.size(); At += Lens[S++]) {
+      const detail::Conv1dShape Shape{Cin, Cout, Lens[S], K};
+      const float *G = Node->Grad.data() + Cout * At;
+      Kernels->ParamGrad(Shape, G, Xn->Data.data() + Cin * At,
+                         Wn->Grad.data(), Bn->Grad.data());
+      // conv1's input is the observation, which needs no gradient.
+      if (Xn->RequiresGrad)
+        Kernels->InputGrad(Shape, G, Wn->Data.data(),
+                           Xn->Grad.data() + Cin * At);
     }
   };
   return Tensor(N);
 }
 
-Tensor rl::maxPool(const Tensor &X) {
+Tensor rl::meanPool(const Tensor &X, const std::vector<size_t> &Lens) {
   assert(X.shape().size() == 2);
-  size_t C = X.shape()[0], L = X.shape()[1];
-  auto N = makeNode({C}, {X.node()});
-  auto ArgMax = std::make_shared<std::vector<size_t>>(C, 0);
-  for (size_t Ch = 0; Ch < C; ++Ch) {
-    size_t Best = 0;
-    for (size_t P = 1; P < L; ++P)
-      if (X.data()[Ch * L + P] > X.data()[Ch * L + Best])
-        Best = P;
-    (*ArgMax)[Ch] = Best;
-    N->Data[Ch] = X.data()[Ch * L + Best];
+  const size_t C = X.shape()[0], Batch = Lens.size();
+  auto N = makeNode({Batch, C}, {X.node()});
+  for (size_t S = 0, At = 0; S < Batch; At += Lens[S++]) {
+    const size_t L = Lens[S];
+    const float *Block = X.data().data() + C * At;
+    for (size_t Ch = 0; Ch < C; ++Ch) {
+      float Acc = 0.0f;
+      for (size_t P = 0; P < L; ++P)
+        Acc += Block[Ch * L + P];
+      N->Data[S * C + Ch] = Acc / static_cast<float>(L);
+    }
   }
   auto Xn = X.node();
   std::weak_ptr<TensorNode> Self = N;
-  N->Backward = [Xn, Self, ArgMax, L] {
+  N->Backward = [Xn, Self, Lens, C] {
+    auto Node = Self.lock();
+    for (size_t S = 0, At = 0; S < Lens.size(); At += Lens[S++]) {
+      const size_t L = Lens[S];
+      float *Block = Xn->Grad.data() + C * At;
+      for (size_t Ch = 0; Ch < C; ++Ch) {
+        float G = Node->Grad[S * C + Ch] / static_cast<float>(L);
+        for (size_t P = 0; P < L; ++P)
+          Block[Ch * L + P] += G;
+      }
+    }
+  };
+  return Tensor(N);
+}
+
+Tensor rl::maxPool(const Tensor &X, const std::vector<size_t> &Lens) {
+  assert(X.shape().size() == 2);
+  const size_t C = X.shape()[0], Batch = Lens.size();
+  auto N = makeNode({Batch, C}, {X.node()});
+  // The flat index of each (sample, channel) maximum.
+  auto ArgMax = std::make_shared<std::vector<size_t>>(Batch * C, 0);
+  for (size_t S = 0, At = 0; S < Batch; At += Lens[S++]) {
+    const size_t L = Lens[S];
+    for (size_t Ch = 0; Ch < C; ++Ch) {
+      const size_t Row = C * At + Ch * L;
+      size_t Best = 0;
+      for (size_t P = 1; P < L; ++P)
+        if (X.data()[Row + P] > X.data()[Row + Best])
+          Best = P;
+      (*ArgMax)[S * C + Ch] = Row + Best;
+      N->Data[S * C + Ch] = X.data()[Row + Best];
+    }
+  }
+  auto Xn = X.node();
+  std::weak_ptr<TensorNode> Self = N;
+  N->Backward = [Xn, Self, ArgMax] {
     auto S = Self.lock();
-    for (size_t Ch = 0; Ch < S->size(); ++Ch)
-      Xn->Grad[Ch * L + (*ArgMax)[Ch]] += S->Grad[Ch];
+    for (size_t I = 0; I < S->size(); ++I)
+      Xn->Grad[(*ArgMax)[I]] += S->Grad[I];
   };
   return Tensor(N);
 }
@@ -797,25 +865,33 @@ Tensor rl::maskedFill(const Tensor &A, const std::vector<uint8_t> &Mask) {
 }
 
 Tensor rl::logSoftmax(const Tensor &A) {
+  const size_t Rows = rowsOf(A), Cols = A.size() / Rows;
   auto N = makeNode(A.shape(), {A.node()});
-  float Max = -1e30f;
-  for (float V : A.data())
-    Max = std::max(Max, V);
-  float Sum = 0.0f;
-  for (float V : A.data())
-    Sum += std::exp(V - Max);
-  float LogZ = Max + std::log(Sum);
-  for (size_t I = 0; I < N->size(); ++I)
-    N->Data[I] = A.data()[I] - LogZ;
+  for (size_t R = 0; R < Rows; ++R) {
+    const float *In = A.data().data() + R * Cols;
+    float Max = -1e30f;
+    for (size_t I = 0; I < Cols; ++I)
+      Max = std::max(Max, In[I]);
+    float Sum = 0.0f;
+    for (size_t I = 0; I < Cols; ++I)
+      Sum += std::exp(In[I] - Max);
+    float LogZ = Max + std::log(Sum);
+    for (size_t I = 0; I < Cols; ++I)
+      N->Data[R * Cols + I] = In[I] - LogZ;
+  }
   auto An = A.node();
   std::weak_ptr<TensorNode> Self = N;
-  N->Backward = [An, Self] {
+  N->Backward = [An, Self, Rows, Cols] {
     auto S = Self.lock();
-    float GradSum = 0.0f;
-    for (float G : S->Grad)
-      GradSum += G;
-    for (size_t I = 0; I < S->size(); ++I)
-      An->Grad[I] += S->Grad[I] - std::exp(S->Data[I]) * GradSum;
+    for (size_t R = 0; R < Rows; ++R) {
+      const float *G = S->Grad.data() + R * Cols;
+      const float *Out = S->Data.data() + R * Cols;
+      float GradSum = 0.0f;
+      for (size_t I = 0; I < Cols; ++I)
+        GradSum += G[I];
+      for (size_t I = 0; I < Cols; ++I)
+        An->Grad[R * Cols + I] += G[I] - std::exp(Out[I]) * GradSum;
+    }
   };
   return Tensor(N);
 }

@@ -6,10 +6,16 @@
 ///
 /// \file
 /// A compact dynamic-graph autograd engine sized for the paper's agent:
-/// 1-D/2-D/3-D float tensors, the op set PPO needs (conv1d, matvec,
+/// 1-D/2-D/3-D float tensors, the op set PPO needs (conv1d, linear,
 /// activations, masked log-softmax, reductions, elementwise arithmetic)
-/// and reverse-mode differentiation over the recorded tape. Single
-/// sample forward passes; batching is a loop at the trainer level.
+/// and reverse-mode differentiation over the recorded tape.
+///
+/// Ops take a whole minibatch: a 2-D [B, N] operand is B rows and a 1-D
+/// one is a single row, and the conv stack takes a ragged batch (below).
+/// Each batched op runs the single-sample arithmetic over its samples in
+/// batch order, forward and backward, so every value and every gradient
+/// is bit-identical to B single-sample graphs whose backward passes run
+/// in batch order (docs/TRAINING.md, PPO section).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -88,35 +94,48 @@ Tensor relu(const Tensor &A);
 Tensor tanhT(const Tensor &A);
 Tensor clampRange(const Tensor &A, float Lo, float Hi);
 Tensor scalarMul(const Tensor &A, float S);
-Tensor scalarAdd(const Tensor &A, float S);
 /// @}
 
 /// \name Reductions / shape ops
 /// @{
 Tensor sumT(const Tensor &A);                 ///< -> scalar
 Tensor meanT(const Tensor &A);                ///< -> scalar
-Tensor concat(const Tensor &A, const Tensor &B); ///< 1-D concat
-Tensor gather(const Tensor &A, size_t Index); ///< 1-D pick -> scalar
+/// Per-row sum: [B, N] -> [B].
+Tensor rowSums(const Tensor &A);
+/// Per-row concat: [Na] + [Nb] -> [Na + Nb], [B, Na] + [B, Nb] ->
+/// [B, Na + Nb].
+Tensor concat(const Tensor &A, const Tensor &B);
+/// Picks entry Index[r] of each row r: [B, N] -> [B] (a 1-D tensor and
+/// one index give a scalar).
+Tensor gather(const Tensor &A, const std::vector<size_t> &Index);
 /// @}
 
 /// \name Neural-network ops
 /// @{
-/// y = W x + b with W [Out, In], x [In], b [Out].
+/// y = W x + b per row, W [Out, In], b [Out]: x [In] -> [Out], or
+/// x [B, In] -> [B, Out].
 Tensor linear(const Tensor &W, const Tensor &X, const Tensor &B);
-/// Same-padded 1-D convolution: X [Cin, L], W [Cout, Cin, K], B [Cout]
-/// -> [Cout, L]. K must be odd. Outputs and gradients are bit-identical
-/// to the textbook scalar loops, and so identical on every ISA, whichever
-/// SIMD width the CPU lets it dispatch to (docs/TRAINING.md, PPO
-/// section); the input gradient is computed only when X requires grad.
-Tensor conv1d(const Tensor &X, const Tensor &W, const Tensor &B);
-/// Mean over the length axis: [C, L] -> [C].
-Tensor meanPool(const Tensor &X);
-/// Max over the length axis: [C, L] -> [C].
-Tensor maxPool(const Tensor &X);
+/// Same-padded 1-D convolution over a ragged batch: X [Cin, sum(Lens)]
+/// holds sample s as a contiguous [Cin, Lens[s]] block, samples back to
+/// back (one sample is a plain [Cin, L] matrix); W [Cout, Cin, K] and
+/// B [Cout] give the [Cout, sum(Lens)] batch laid out alike. K must be
+/// odd, and no position reads across a sample boundary. Outputs and
+/// gradients are bit-identical to the textbook scalar loops, and so
+/// identical on every ISA, whichever SIMD width the CPU lets it dispatch
+/// to (docs/TRAINING.md, PPO section); the input gradient is computed
+/// only when X requires grad.
+Tensor conv1d(const Tensor &X, const Tensor &W, const Tensor &B,
+              const std::vector<size_t> &Lens);
+/// Mean over each sample's length axis of a ragged batch (as conv1d
+/// lays it out): [C, sum(Lens)] -> [B, C].
+Tensor meanPool(const Tensor &X, const std::vector<size_t> &Lens);
+/// Max over each sample's length axis: [C, sum(Lens)] -> [B, C].
+Tensor maxPool(const Tensor &X, const std::vector<size_t> &Lens);
 /// Sets masked-out entries (Mask[i] == 0) to -1e9; gradient flows only
-/// through kept entries. A [A]-shaped op for invalid-action masking.
+/// through kept entries. Elementwise: \p Mask spans all of \p A, e.g.
+/// B action masks back to back for [B, A] logits.
 Tensor maskedFill(const Tensor &A, const std::vector<uint8_t> &Mask);
-/// Numerically stable log-softmax over a 1-D tensor.
+/// Numerically stable log-softmax of each row.
 Tensor logSoftmax(const Tensor &A);
 /// @}
 

@@ -44,7 +44,9 @@ TunedConfig Autotuner::measureCandidate(const gpusim::Gpu &Device,
   // Independent per-candidate noise stream, pure in (BaseSeed, request,
   // candidate index) like the data stream.
   MC.Seed = mixSeed(Seed, 0x6d656173756e6f69ull);
-  gpusim::Measurement M = measureKernel(Local, K.Prog, K.Launch, MC);
+  // The -O3 schedule honours every dependency, so it cannot race.
+  gpusim::Measurement M =
+      measureKernel(Local, K.Prog, K.Launch, MC, /*RaceFree=*/true);
 
   TunedConfig T;
   T.Config = Config;

@@ -12,6 +12,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <functional>
 #include <memory>
 #include <stdexcept>
 
@@ -513,4 +515,229 @@ TEST(GameTest, ConcurrentSiblingGamesMatchSerialRewards) {
 
   EXPECT_EQ(RewardsA, Expected);
   EXPECT_EQ(RewardsB, Expected);
+}
+
+//===----------------------------------------------------------------------===//
+// Measurement at the memory fixed point
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The §3.6 protocol run for run, as measureKernel ran it before it
+/// stopped at the memory fixed point: every warmup in protocol order,
+/// every repetition simulated.
+gpusim::Measurement protocolMeasure(gpusim::Gpu &Device,
+                                    const sass::Program &Prog,
+                                    const gpusim::KernelLaunch &Launch,
+                                    const gpusim::MeasureConfig &Config) {
+  gpusim::Measurement Out;
+  Rng Noise(Config.Seed);
+  for (unsigned I = 0; I < Config.WarmupIters; ++I) {
+    gpusim::RunResult R =
+        Device.run(Prog, Launch, gpusim::RunMode::Timed, Config.MaxBlocks);
+    if (!R.Valid) {
+      Out.Valid = false;
+      Out.FaultReason = R.FaultReason;
+      return Out;
+    }
+  }
+  double Sum = 0.0, SumSq = 0.0;
+  uint64_t CycleSum = 0;
+  for (unsigned I = 0; I < Config.RepeatIters; ++I) {
+    if (Config.ClearL2BetweenReps)
+      Device.clearCaches();
+    gpusim::RunResult R =
+        Device.run(Prog, Launch, gpusim::RunMode::Timed, Config.MaxBlocks);
+    if (!R.Valid) {
+      Out.Valid = false;
+      Out.FaultReason = R.FaultReason;
+      return Out;
+    }
+    double Jitter = 1.0 + Noise.normal(0.0, Config.NoiseStddev);
+    double TimeUs = R.TimeUs * Jitter;
+    Sum += TimeUs;
+    SumSq += TimeUs * TimeUs;
+    CycleSum += R.Cycles;
+    Out.Counters = R.Counters;
+  }
+  unsigned N = Config.RepeatIters;
+  Out.MeanUs = Sum / N;
+  double Var = SumSq / N - Out.MeanUs * Out.MeanUs;
+  Out.StddevUs = Var > 0 ? std::sqrt(Var) : 0.0;
+  Out.Cycles = CycleSum / N;
+  return Out;
+}
+
+uint64_t bitsOf(double V) {
+  uint64_t B;
+  std::memcpy(&B, &V, sizeof B);
+  return B;
+}
+
+/// Every field the protocol reports, bit for bit.
+void expectSameMeasurement(const gpusim::Measurement &Got,
+                           const gpusim::Measurement &Want) {
+  EXPECT_EQ(Got.Valid, Want.Valid);
+  EXPECT_EQ(Got.FaultReason, Want.FaultReason);
+  EXPECT_EQ(bitsOf(Got.MeanUs), bitsOf(Want.MeanUs));
+  EXPECT_EQ(bitsOf(Got.StddevUs), bitsOf(Want.StddevUs));
+  EXPECT_EQ(Got.Cycles, Want.Cycles);
+  gpusim::visitCounterFields(
+      Got.Counters, Want.Counters,
+      [](const char *Name, const uint64_t &A, const uint64_t &B) {
+        EXPECT_EQ(A, B) << Name;
+      });
+}
+
+/// The kernel's input and output buffers as \p Device holds them.
+std::vector<uint8_t> kernelBuffers(const gpusim::Gpu &Device,
+                                   const BuiltKernel &K) {
+  std::vector<std::pair<uint64_t, uint64_t>> Buffers = K.Inputs;
+  Buffers.push_back({K.OutAddr, K.OutBytes});
+  std::vector<uint8_t> Bytes;
+  for (const auto &[Addr, Size] : Buffers) {
+    size_t At = Bytes.size();
+    Bytes.resize(At + Size);
+    Device.globalMemory().read(Addr, Bytes.data() + At, Size);
+  }
+  return Bytes;
+}
+
+/// A seeded walk of up to \p Steps random actions the mask allows,
+/// stopping at the end of the episode.
+void randomWalk(AssemblyGame &Game, Rng &Walk, int Steps,
+                const std::function<void(const AssemblyGame::StepResult &)>
+                    &AfterStep = nullptr) {
+  for (int Step = 0; Step < Steps; ++Step) {
+    std::vector<uint8_t> Mask = Game.actionMask();
+    std::vector<unsigned> Allowed;
+    for (unsigned A = 0; A < Mask.size(); ++A)
+      if (Mask[A])
+        Allowed.push_back(A);
+    if (Allowed.empty())
+      return;
+    AssemblyGame::StepResult R =
+        Game.step(Allowed[Walk.uniformInt(Allowed.size())]);
+    if (AfterStep)
+      AfterStep(R);
+    if (R.Done)
+      return;
+  }
+}
+
+} // namespace
+
+TEST(MeasureFixedPointTest, MatchesProtocolOnRandomLegalSchedules) {
+  // Legal schedules from a masked random walk on every workload kind,
+  // measured in sequence on two copies of the kernel's device: one by
+  // measureKernel, one by the protocol loop. Every result field and the
+  // device buffers must agree after every measurement, for each
+  // protocol shape, with and without clearing and the race-free
+  // promise (masked play keeps it).
+  struct Shape {
+    unsigned Warmup, Repeat;
+  };
+  for (WorkloadKind Kind : kernels::allWorkloads()) {
+    SCOPED_TRACE(kernels::workloadName(Kind));
+    GameFixture F(Kind);
+    F.Config.PrivateDevice = true;
+    AssemblyGame Game(F.Device, F.Kernel, F.Config);
+    std::vector<sass::Program> Schedules = {Game.current()};
+    Rng Walk(31 + static_cast<uint64_t>(Kind));
+    randomWalk(Game, Walk, 8, [&](const AssemblyGame::StepResult &R) {
+      ASSERT_FALSE(R.Invalid);
+      Schedules.push_back(Game.current());
+    });
+    ASSERT_GT(Schedules.size(), 1u);
+
+    for (Shape P : {Shape{0, 1}, Shape{1, 1}, Shape{2, 3}})
+      for (bool Clear : {true, false})
+        for (bool RaceFree : {true, false}) {
+          SCOPED_TRACE(testing::Message()
+                       << "warmup=" << P.Warmup << " repeat=" << P.Repeat
+                       << " clear=" << Clear << " race-free=" << RaceFree);
+          gpusim::MeasureConfig MC;
+          MC.WarmupIters = P.Warmup;
+          MC.RepeatIters = P.Repeat;
+          MC.ClearL2BetweenReps = Clear;
+          MC.MaxBlocks = 2;
+          gpusim::Gpu Fast(F.Device), Full(F.Device);
+          unsigned Simulated = 0, Protocol = 0;
+          for (size_t I = 0; I < Schedules.size(); ++I) {
+            MC.Seed = 100 + I;
+            gpusim::Measurement Got = gpusim::measureKernel(
+                Fast, Schedules[I], F.Kernel.Launch, MC, RaceFree);
+            gpusim::Measurement Want =
+                protocolMeasure(Full, Schedules[I], F.Kernel.Launch, MC);
+            expectSameMeasurement(Got, Want);
+            ASSERT_EQ(kernelBuffers(Fast, F.Kernel),
+                      kernelBuffers(Full, F.Kernel));
+            Simulated += Got.SimulatedRuns;
+            Protocol += P.Warmup + P.Repeat;
+          }
+          // Once memory settles, a cleared run stands for the rest of
+          // the repetitions, and under the promise for the warmups too.
+          if (Clear && ((RaceFree && P.Warmup > 0) || P.Repeat > 1)) {
+            EXPECT_LT(Simulated, Protocol);
+          } else {
+            EXPECT_EQ(Simulated, Protocol);
+          }
+        }
+  }
+}
+
+TEST(MeasureFixedPointTest, GamesEqualTheFullProtocol) {
+  // A game's reward loop against a replay of the same measurements
+  // through the protocol loop on a second device, with the oracle check
+  // unmasked play adds. Unmasked play gives no race-free promise and
+  // may run racing schedules; masked play gives it. Episodes stop at an
+  // invalid step, whose reverted schedule the replay cannot name.
+  for (WorkloadKind Kind : kernels::allWorkloads())
+    for (bool Masked : {false, true})
+      for (unsigned Warmup : {1u, 2u}) {
+        SCOPED_TRACE(testing::Message()
+                     << kernels::workloadName(Kind) << " masked=" << Masked
+                     << " warmup=" << Warmup);
+        GameFixture F(Kind);
+        F.Config.UseActionMasking = Masked;
+        F.Config.CacheMeasurements = false;
+        F.Config.Measure = gpusim::MeasureConfig();
+        F.Config.Measure.WarmupIters = Warmup;
+        F.Config.Measure.RepeatIters = Warmup + 1;
+        const unsigned MaxBlocks =
+            std::min(F.Device.residentBlocks(F.Kernel.Launch), 2u);
+        for (uint64_t Episode = 0; Episode < 3; ++Episode) {
+          gpusim::Gpu GameDevice(F.Device), Replay(F.Device);
+          auto ReplayMeasure = [&](const sass::Program &P) {
+            gpusim::MeasureConfig MC = F.Config.Measure;
+            MC.MaxBlocks = MaxBlocks;
+            MC.Seed = gpusim::MeasurementCache::deriveSeed(
+                F.Config.Measure.Seed,
+                gpusim::MeasurementCache::keyFor(P).Check);
+            gpusim::Measurement M =
+                protocolMeasure(Replay, P, F.Kernel.Launch, MC);
+            if (M.Valid && !Masked)
+              Replay.run(P, F.Kernel.Launch, gpusim::RunMode::Oracle,
+                         MaxBlocks);
+            return M.MeanUs;
+          };
+          AssemblyGame Game(GameDevice, F.Kernel, F.Config);
+          EXPECT_EQ(bitsOf(Game.initialTimeUs()),
+                    bitsOf(ReplayMeasure(F.Kernel.Prog)));
+          Rng Walk(7 * Episode + static_cast<uint64_t>(Kind));
+          randomWalk(Game, Walk, 8, [&](const AssemblyGame::StepResult &R) {
+            if (R.Invalid)
+              return; // Ends the episode.
+            EXPECT_EQ(bitsOf(Game.currentTimeUs()),
+                      bitsOf(ReplayMeasure(Game.current())));
+            EXPECT_EQ(kernelBuffers(GameDevice, F.Kernel),
+                      kernelBuffers(Replay, F.Kernel));
+          });
+          if (Masked) {
+            EXPECT_LT(Game.simulatedRuns(), Game.measurementsTaken());
+          } else {
+            EXPECT_LE(Game.simulatedRuns(), Game.measurementsTaken());
+          }
+        }
+      }
 }

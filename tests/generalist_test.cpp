@@ -21,6 +21,8 @@
 #include "env/Embedding.h"
 #include "serve/OptimizationService.h"
 #include "serve/PolicyStore.h"
+#include "support/Rng.h"
+#include "support/StringUtils.h"
 
 #include <gtest/gtest.h>
 
@@ -360,6 +362,128 @@ TEST(GeneralistTest, OptimizeManyWithZeroStepsRunsNoUpdates) {
   EXPECT_TRUE(Opt.optimize(OneDevice, WorkloadKind::Softmax,
                            kernels::testShape(WorkloadKind::Softmax), OneRng)
                   .Training.empty());
+}
+
+//===----------------------------------------------------------------------===//
+// Pinned training fingerprints
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The end-to-end benchmark's servingConfig(), field by field: the
+/// 4-channel net its warm_lookup and mixed_serve set-ups train.
+core::OptimizeConfig benchServingConfig() {
+  core::OptimizeConfig C;
+  C.Ppo.TotalSteps = 128;
+  C.Ppo.RolloutLen = 16;
+  C.Ppo.MiniBatches = 2;
+  C.Ppo.Epochs = 2;
+  C.Ppo.Channels = 4;
+  C.Ppo.Hidden = 16;
+  C.Game.EpisodeLength = 8;
+  C.Game.Measure.WarmupIters = 1;
+  C.Game.Measure.RepeatIters = 1;
+  C.Game.Measure.NoiseStddev = 0.001;
+  C.AutotuneMeasure.WarmupIters = 1;
+  C.AutotuneMeasure.RepeatIters = 3;
+  C.ProbTestRounds = 1;
+  C.RolloutWorkers = 1;
+  C.AutotuneWorkers = 1;
+  return C;
+}
+
+/// The benchmark's rlBoundConfig(): the serving config at the default
+/// network width, which makes cold jobs RL-bound.
+core::OptimizeConfig benchRlBoundConfig() {
+  core::OptimizeConfig C = benchServingConfig();
+  C.Ppo.Channels = 16;
+  C.Ppo.Hidden = 64;
+  return C;
+}
+
+} // namespace
+
+TEST(GeneralistTest, PinnedJobsTrainBitIdentically) {
+  // Three cold jobs as the optimization service runs them (a pristine
+  // device, data stream mixSeed(service seed 11, fnv1a64(request key))).
+  // Every value was produced by the per-sample PPO tape and the full
+  // measurement protocol; a change that moves any of them changed what
+  // training computes, on this ISA or build.
+  struct PinnedJob {
+    const char *Name;
+    core::OptimizeConfig Config;
+    WorkloadKind Kind;
+    const char *Key;
+    uint64_t PolicyHash;
+    double OptimizedUs, TritonUs;
+    unsigned KernelExecutions, SimulatedRuns;
+  };
+  const PinnedJob Jobs[] = {
+      {"rl-bound softmax", benchRlBoundConfig(), WorkloadKind::Softmax,
+       "A100-SIM-softmax_1x512x512x2048_4x4096x32_8x256-cfg37a7ba8bda1ae3bc-"
+       "ceec3042b334f7a2",
+       0x1e48b27341589df9ull, 2.9049591319853221, 3.1570550222409897, 52,
+       27},
+      {"rl-bound flash-attention", benchRlBoundConfig(),
+       WorkloadKind::FlashAttention,
+       "A100-SIM-flash-attention_1x512x512x2048_1x128x32_512x4096-"
+       "cfg37a7ba8bda1ae3bc-4f4c7a7053253597",
+       0x88547f3515b97bbbull, 1.2006715293321295, 1.2113644836190995, 226,
+       114},
+      {"serving softmax", benchServingConfig(), WorkloadKind::Softmax,
+       "A100-SIM-softmax_1x512x512x2048_4x4096x32_8x256-cfgee3ce42c052a7116-"
+       "d5b11dca7a315f96",
+       0xe5b316ed7c532b8cull, 2.9178836404131725, 3.1570550222409897, 44,
+       23},
+  };
+  for (const PinnedJob &J : Jobs) {
+    SCOPED_TRACE(J.Name);
+    serve::OptimizeRequest Req;
+    Req.Kind = J.Kind;
+    Req.Shape = kernels::testShape(J.Kind);
+    Req.GpuType = "A100-SIM";
+    const std::string Key =
+        serve::OptimizationService::requestKey(Req, J.Config);
+    EXPECT_EQ(Key, J.Key);
+    gpusim::Gpu Device;
+    Rng DataRng(mixSeed(11, fnv1a64(Key)));
+    core::OptimizeResult R = core::Optimizer(J.Config).optimize(
+        Device, J.Kind, Req.Shape, DataRng, nullptr, nullptr, Req.GpuType);
+    EXPECT_EQ(fnv1a64(R.PolicyBlob), J.PolicyHash);
+    EXPECT_EQ(R.OptimizedUs, J.OptimizedUs);
+    EXPECT_EQ(R.TritonUs, J.TritonUs);
+    EXPECT_EQ(R.KernelExecutions, J.KernelExecutions);
+    EXPECT_EQ(R.Training.size(), 8u);
+    // Masked measurements stop at the memory fixed point: two runs for
+    // the first (it writes the output), one for every later one.
+    EXPECT_EQ(R.SimulatedRuns, J.SimulatedRuns);
+  }
+}
+
+TEST(GeneralistTest, PinnedRaggedOptimizeManyTrainsBitIdentically) {
+  // Two kernels of different instruction counts: once the curriculum
+  // reaches the second, every PPO minibatch mixes observations of two
+  // row counts.
+  const std::vector<core::WorkloadRequest> Requests = {
+      {WorkloadKind::Softmax, kernels::testShape(WorkloadKind::Softmax)},
+      {WorkloadKind::Bmm, kernels::testShape(WorkloadKind::Bmm)}};
+  gpusim::Gpu Device;
+  Rng DataRng(9);
+  core::MultiOptimizeResult M =
+      core::Optimizer(benchRlBoundConfig())
+          .optimizeMany(Device, Requests, DataRng, nullptr, nullptr,
+                        "A100-SIM");
+  ASSERT_EQ(M.Results.size(), 2u);
+  EXPECT_NE(M.Results[0].OptimizedProg.instrCount(),
+            M.Results[1].OptimizedProg.instrCount());
+  EXPECT_EQ(fnv1a64(M.PolicyBlob), 0xb1057a62aa9a49fbull);
+  EXPECT_EQ(M.Training.size(), 6u);
+  EXPECT_EQ(M.Results[0].OptimizedUs, 2.9612862867124621);
+  EXPECT_EQ(M.Results[0].TritonUs, 3.1570550222409897);
+  EXPECT_EQ(M.Results[0].KernelExecutions, 36u);
+  EXPECT_EQ(M.Results[1].OptimizedUs, 1.8779460211019816);
+  EXPECT_EQ(M.Results[1].TritonUs, 1.8987794047610316);
+  EXPECT_EQ(M.Results[1].KernelExecutions, 130u);
 }
 
 //===----------------------------------------------------------------------===//

@@ -137,6 +137,19 @@ TEST(GlobalMemory, AllocateReadWrite) {
   EXPECT_EQ(M.readValue<uint32_t>(A), 0x12345678u);
 }
 
+TEST(GlobalMemory, CountsOnlyStoresThatChangeAWord) {
+  GlobalMemory M;
+  uint64_t A = M.allocate(8);
+  M.storeWord(A, 0);     // Already zero.
+  EXPECT_EQ(M.changingStores(), 0u);
+  M.storeWord(A, 7);
+  M.storeWord(A, 7);
+  M.storeWord(A + 4, 9);
+  EXPECT_EQ(M.changingStores(), 2u);
+  M.writeValue<uint32_t>(A, 1); // Host writes are not device stores.
+  EXPECT_EQ(M.changingStores(), 2u);
+}
+
 TEST(GlobalMemory, OutOfBoundsFaultsAndPoisons) {
   GlobalMemory M;
   M.allocate(64);
@@ -529,6 +542,50 @@ TEST(Measure, InvalidScheduleReported) {
   Measurement M = measureKernel(Device, P, L);
   EXPECT_FALSE(M.Valid);
   EXPECT_FALSE(M.FaultReason.empty());
+}
+
+TEST(MeasureFixedPointTest, StopsOnceARunChangesNothing) {
+  // The first run writes out[]; the next, from cleared caches, writes
+  // the same words and so stands for every later repetition. Without
+  // the race-free promise both warmups still run in protocol order.
+  sass::Program P = parseOrDie(VecAddText, "vecadd");
+  for (bool RaceFree : {false, true}) {
+    SCOPED_TRACE(RaceFree ? "race-free" : "may race");
+    VecAddSetup S(32);
+    MeasureConfig C;
+    C.WarmupIters = 2;
+    C.RepeatIters = 3;
+    Measurement M = measureKernel(S.Device, P, S.Launch, C, RaceFree);
+    ASSERT_TRUE(M.Valid) << M.FaultReason;
+    EXPECT_EQ(M.SimulatedRuns, RaceFree ? 2u : 3u);
+    EXPECT_TRUE(S.outputCorrect());
+  }
+}
+
+TEST(MeasureFixedPointTest, AccumulatingProgramRunsEveryIteration) {
+  // out[i] += x[i] changes memory on every run, so no run stands for
+  // another: all W + R runs are simulated, promise or not.
+  sass::Program P = parseOrDie(VecAddText, "accumulate");
+  for (bool RaceFree : {false, true}) {
+    SCOPED_TRACE(RaceFree ? "race-free" : "may race");
+    VecAddSetup S(32);
+    KernelLaunch Accumulate;
+    Accumulate.GridX = 1;
+    Accumulate.WarpsPerBlock = 1;
+    Accumulate.addParam64(S.XAddr);
+    Accumulate.addParam64(S.OutAddr);
+    Accumulate.addParam64(S.OutAddr);
+    Accumulate.addParam32(S.N);
+    MeasureConfig C;
+    C.WarmupIters = 2;
+    C.RepeatIters = 3;
+    Measurement M = measureKernel(S.Device, P, Accumulate, C, RaceFree);
+    ASSERT_TRUE(M.Valid) << M.FaultReason;
+    EXPECT_EQ(M.SimulatedRuns, 5u);
+    for (unsigned I = 0; I < S.N; ++I)
+      EXPECT_EQ(S.Device.globalMemory().readValue<float>(S.OutAddr + 4 * I),
+                5.0f * I);
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -157,6 +157,46 @@ TEST(IncrementalStepTest, ResetRestoresInitialState) {
   EXPECT_EQ(InitialKey.Check, Game.scheduleKey().Check);
 }
 
+TEST(ResetByUndoTest, ResetEqualsFreshGameAfterRandomEpisodes) {
+  // reset() undoes the episode's swaps, newest first. After random
+  // episodes of every length, masked or not (an invalid unmasked step
+  // reverts its own swap before the episode ends), the game must equal
+  // one built fresh from the same kernel.
+  for (WorkloadKind Kind : kernels::allWorkloads())
+    for (bool Masked : {true, false}) {
+      SCOPED_TRACE(testing::Message() << kernels::workloadName(Kind)
+                                      << " masked=" << Masked);
+      GameFixture F(Kind);
+      F.Config.UseActionMasking = Masked;
+      F.Config.PrivateDevice = true;
+      F.Config.EpisodeLength = 24;
+      AssemblyGame Fresh(F.Device, F.Kernel, F.Config);
+      AssemblyGame Game(F.Device, F.Kernel, F.Config);
+      const std::vector<float> FreshObs = Fresh.reset();
+      Rng Walk(40 + static_cast<uint64_t>(Kind));
+      for (int Episode = 0; Episode < 4; ++Episode) {
+        const uint64_t Steps = Walk.uniformInt(25);
+        for (uint64_t Step = 0; Step < Steps; ++Step) {
+          std::vector<uint8_t> Mask = Game.actionMask();
+          std::vector<unsigned> Allowed;
+          for (unsigned A = 0; A < Mask.size(); ++A)
+            if (Mask[A])
+              Allowed.push_back(A);
+          if (Allowed.empty() ||
+              Game.step(Allowed[Walk.uniformInt(Allowed.size())]).Done)
+            break;
+        }
+        EXPECT_EQ(Game.reset(), FreshObs);
+        EXPECT_EQ(Game.actionMask(), Fresh.actionMask());
+        EXPECT_EQ(Game.scheduleKey().Primary, Fresh.scheduleKey().Primary);
+        EXPECT_EQ(Game.scheduleKey().Check, Fresh.scheduleKey().Check);
+        EXPECT_TRUE(Game.decoded() == Fresh.decoded());
+        EXPECT_EQ(Game.current().str(), Fresh.current().str());
+        EXPECT_EQ(Game.currentTimeUs(), Fresh.initialTimeUs());
+      }
+    }
+}
+
 //===----------------------------------------------------------------------===//
 // ScheduleHash unit behavior
 //===----------------------------------------------------------------------===//

@@ -677,6 +677,22 @@ TEST(OptimizerTest, SurfacesAutotuneFailureInsteadOfTrainingOnGarbage) {
   EXPECT_EQ(R.TritonUs, 0.0);
 }
 
+TEST(OptimizerTest, ZeroGameRepeatsAreRefusedBeforeAnyWork) {
+  // Every reward would average zero repetitions: NaN rewards and a NaN
+  // OptimizedUs. The wire decoder refuses this config; in process, the
+  // optimizer refuses it at construction, naming the field.
+  core::OptimizeConfig C;
+  C.Game.Measure.RepeatIters = 0;
+  try {
+    core::Optimizer Opt(C);
+    FAIL() << "an optimizer accepted zero game repetitions";
+  } catch (const std::invalid_argument &E) {
+    EXPECT_NE(std::string(E.what()).find("Game.Measure.RepeatIters"),
+              std::string::npos)
+        << E.what();
+  }
+}
+
 TEST(OptimizerTest, AutotuneAllPersistsWinnersThroughDeployCache) {
   std::string Dir =
       (std::filesystem::temp_directory_path() / "cuasmrl_sweep_deploy")

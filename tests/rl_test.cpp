@@ -70,7 +70,7 @@ TEST(Autograd, AddSubMul) {
 TEST(Autograd, ExpLogSoftmaxFiniteDiff) {
   Tensor X = Tensor::fromVector({0.3f, -1.2f, 2.0f, 0.0f}, {4}, true);
   for (size_t I = 0; I < 4; ++I)
-    checkGradient(X, I, [&] { return gather(logSoftmax(X), 2); });
+    checkGradient(X, I, [&] { return gather(logSoftmax(X), {2}); });
 }
 
 TEST(Autograd, ReluTanhClamp) {
@@ -115,7 +115,7 @@ TEST(Autograd, Conv1dFiniteDiff) {
   Tensor W = Tensor::fromVector(
       {0.2f, -0.1f, 0.3f, 0.4f, 0.1f, -0.2f}, {1, 2, 3}, true);
   Tensor B = Tensor::fromVector({0.05f}, {1}, true);
-  auto Build = [&] { return sumT(relu(conv1d(X, W, B))); };
+  auto Build = [&] { return sumT(relu(conv1d(X, W, B, {4}))); };
   for (size_t I = 0; I < W.size(); ++I)
     checkGradient(W, I, Build);
   for (size_t I = 0; I < X.size(); ++I)
@@ -126,8 +126,8 @@ TEST(Autograd, PoolingFiniteDiff) {
   Tensor X = Tensor::fromVector({1.0f, 3.0f, 2.0f, -1.0f, 0.0f, 4.0f},
                                 {2, 3}, true);
   for (size_t I = 0; I < X.size(); ++I) {
-    checkGradient(X, I, [&] { return sumT(meanPool(X)); });
-    checkGradient(X, I, [&] { return sumT(maxPool(X)); });
+    checkGradient(X, I, [&] { return sumT(meanPool(X, {3})); });
+    checkGradient(X, I, [&] { return sumT(maxPool(X, {3})); });
   }
 }
 
@@ -288,7 +288,7 @@ TEST(Conv1dReference, KernelsMatchTextbookLoopsBitForBit) {
             for (int Sample = 0; Sample < 3; ++Sample) {
               Tensor X = Tensor::fromVector(mixedValues(R, Cin * L),
                                             {Cin, L}, InputGrad);
-              Tensor Y = conv1d(X, W, B);
+              Tensor Y = conv1d(X, W, B, {L});
               const std::vector<float> Expected = referenceConv1d(X, W, B);
               ASSERT_TRUE(sameBits(Y.data(), Expected));
 
@@ -334,6 +334,54 @@ TEST(Conv1dReference, KernelsMatchTextbookLoopsBitForBit) {
               }
             }
           }
+}
+
+TEST(Conv1dReference, RaggedBatchMatchesPerSampleLoops) {
+  // A ragged batch runs every sample through the single-sample kernels:
+  // each sample's output and input-gradient block equal the textbook
+  // loops on that sample alone, and the parameter gradients equal the
+  // textbook backward of sample 0, then sample 1, ... accumulated into
+  // one buffer, as a PPO minibatch's per-sample tapes did.
+  Rng R(20261017);
+  const std::vector<std::vector<size_t>> Batches = {
+      {92}, {17, 92, 40}, {5, 5}, {130, 1, 72}};
+  for (const std::vector<size_t> &Lens : Batches)
+    for (size_t K : {3, 5}) {
+      const size_t Cin = 4, Cout = 16;
+      size_t Total = 0;
+      for (size_t L : Lens)
+        Total += L;
+      SCOPED_TRACE(testing::Message()
+                   << "samples=" << Lens.size() << " total=" << Total
+                   << " K=" << K);
+      Tensor W = Tensor::fromVector(mixedValues(R, Cout * Cin * K),
+                                    {Cout, Cin, K}, true);
+      Tensor B = Tensor::fromVector(mixedValues(R, Cout), {Cout}, true);
+      Tensor X = Tensor::fromVector(mixedValues(R, Cin * Total), {Cin, Total},
+                                    true);
+      Tensor Y = conv1d(X, W, B, Lens);
+      Tensor Upstream =
+          Tensor::fromVector(mixedValues(R, Cout * Total), {Cout, Total});
+      sumT(mul(relu(Y), Upstream)).backward();
+
+      RefGrads Ref{{}, std::vector<float>(W.size(), 0.0f),
+                   std::vector<float>(B.size(), 0.0f)};
+      size_t At = 0;
+      for (size_t L : Lens) {
+        auto Block = [&](const std::vector<float> &V, size_t Rows) {
+          return std::vector<float>(V.begin() + Rows * At,
+                                    V.begin() + Rows * (At + L));
+        };
+        Tensor Xs = Tensor::fromVector(Block(X.data(), Cin), {Cin, L});
+        ASSERT_TRUE(sameBits(Block(Y.data(), Cout), referenceConv1d(Xs, W, B)));
+        Ref.X.assign(Cin * L, 0.0f);
+        referenceConv1dBackward(Block(Y.grad(), Cout), Xs, W, Ref);
+        ASSERT_TRUE(sameBits(Block(X.grad(), Cin), Ref.X));
+        At += L;
+      }
+      EXPECT_TRUE(sameBits(W.grad(), Ref.W));
+      EXPECT_TRUE(sameBits(B.grad(), Ref.B));
+    }
 }
 
 namespace {
@@ -441,7 +489,7 @@ TEST(ActorCriticTest, ForwardShapes) {
   std::vector<float> Obs(7 * 12, 0.5f);
   std::vector<uint8_t> Mask(6, 1);
   Mask[3] = 0;
-  ActorCritic::Output Out = Net.forward(Obs, Mask);
+  ActorCritic::Output Out = Net.forward({{Obs, Mask}});
   EXPECT_EQ(Out.MaskedLogits.size(), 6u);
   EXPECT_EQ(Out.Value.size(), 1u);
   EXPECT_LT(Out.MaskedLogits.data()[3], -1e8f);
@@ -457,7 +505,7 @@ TEST(ActorCriticTest, OrthogonalInitScales) {
   // Policy head uses gain 0.01: logits start tiny (near-uniform policy).
   std::vector<float> Obs(5 * 8, 0.3f);
   std::vector<uint8_t> Mask(4, 1);
-  ActorCritic::Output Out = Net.forward(Obs, Mask);
+  ActorCritic::Output Out = Net.forward({{Obs, Mask}});
   for (float L : Out.MaskedLogits.data())
     EXPECT_LT(std::fabs(L), 0.5f);
 }
@@ -479,8 +527,8 @@ TEST(ActorCriticTest, CheckpointRoundTrip) {
 
   std::vector<float> Obs(5 * 8, 0.3f);
   std::vector<uint8_t> Mask(4, 1);
-  EXPECT_EQ(Net.forward(Obs, Mask).MaskedLogits.data(),
-            Other.forward(Obs, Mask).MaskedLogits.data());
+  EXPECT_EQ(Net.forward({{Obs, Mask}}).MaskedLogits.data(),
+            Other.forward({{Obs, Mask}}).MaskedLogits.data());
 }
 
 TEST(ActorCriticTest, LoadRejectsGarbage) {
@@ -785,9 +833,300 @@ TEST(PpoTest, CriticLearnsOptimalReturn) {
   BanditEnv Probe;
   std::vector<float> Obs = Probe.reset();
   std::vector<uint8_t> Mask = Probe.actionMask();
-  float V = Trainer.net().forward(Obs, Mask).Value.item();
+  float V = Trainer.net().forward({{Obs, Mask}}).Value.item();
   EXPECT_GT(V, 2.0f);
   EXPECT_LT(V, 5.5f);
+}
+
+//===----------------------------------------------------------------------===//
+// Minibatch-major update vs. a per-sample reference tape
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// An env that only declares a geometry: the trainer sizes its net from
+/// it, and the test hands the trainer synthetic batches.
+class GeometryEnv : public Env {
+public:
+  GeometryEnv(size_t Rows, size_t Features, unsigned Actions)
+      : Rows(Rows), Features(Features), Actions(Actions) {}
+  std::vector<float> reset() override {
+    return std::vector<float>(Rows * Features, 0.0f);
+  }
+  EnvStep step(unsigned) override { return EnvStep(); }
+  std::vector<uint8_t> actionMask() override {
+    return std::vector<uint8_t>(Actions, 1);
+  }
+  unsigned actionCount() const override { return Actions; }
+  size_t obsRows() const override { return Rows; }
+  size_t obsFeatures() const override { return Features; }
+
+private:
+  size_t Rows, Features;
+  unsigned Actions;
+};
+
+/// A random trajectory of \p Steps transitions from \p E, with masks
+/// padded to \p NetActions as the rollout runner pads them.
+Trajectory randomTrajectory(Rng &R, const GeometryEnv &E, size_t NetActions,
+                            unsigned Steps) {
+  auto Observation = [&] {
+    std::vector<float> Obs(E.obsRows() * E.obsFeatures());
+    for (float &V : Obs)
+      V = static_cast<float>(R.normal());
+    return Obs;
+  };
+  auto Mask = [&] {
+    std::vector<uint8_t> M(NetActions, 0);
+    for (unsigned A = 0; A < E.actionCount(); ++A)
+      M[A] = R.uniformInt(3) != 0;
+    M[R.uniformInt(E.actionCount())] = 1;
+    return M;
+  };
+  Trajectory T;
+  for (unsigned Step = 0; Step < Steps; ++Step) {
+    Transition Tr;
+    Tr.Obs = Observation();
+    Tr.Mask = Mask();
+    do
+      Tr.Action = static_cast<unsigned>(R.uniformInt(E.actionCount()));
+    while (!Tr.Mask[Tr.Action]);
+    Tr.LogProb = static_cast<float>(std::log(R.uniformReal(0.05, 1.0)));
+    Tr.Value = static_cast<float>(R.normal(0.0, 0.5));
+    Tr.Reward = static_cast<float>(R.normal());
+    Tr.Done = R.uniformInt(8) == 0;
+    T.Steps.push_back(std::move(Tr));
+  }
+  T.BootstrapObs = Observation();
+  T.BootstrapMask = Mask();
+  return T;
+}
+
+/// PpoTrainer::updateFromBatch as it ran before the update became
+/// minibatch-major: one graph per sample, chained into the minibatch
+/// loss by add, one backward per minibatch. Kept only here, as the
+/// reference the batched update must equal bit for bit.
+class ReferenceTrainer {
+public:
+  ReferenceTrainer(const NetConfig &NC, const PpoConfig &C)
+      : Config(C), SampleRng(C.Seed), Net(NC, SampleRng),
+        Optimizer(Net.parameters(), C.Lr) {}
+
+  const ActorCritic &net() const { return Net; }
+
+  UpdateStats update(const TrajectoryBatch &Batch) {
+    const std::vector<Trajectory> &Trajs = Batch.Trajectories;
+    StepsDone += static_cast<unsigned>(Batch.totalSteps());
+    std::vector<std::vector<float>> Adv(Trajs.size()), Ret(Trajs.size());
+    for (size_t J = 0; J < Trajs.size(); ++J) {
+      const Trajectory &Traj = Trajs[J];
+      const size_t T = Traj.Steps.size();
+      Adv[J].resize(T);
+      Ret[J].resize(T);
+      float NextValue =
+          Net.forward({{Traj.BootstrapObs, Traj.BootstrapMask}}).Value.item();
+      float Gae = 0.0f;
+      for (size_t Step = T; Step-- > 0;) {
+        const Transition &S = Traj.Steps[Step];
+        float VNext = Step + 1 < T ? Traj.Steps[Step + 1].Value : NextValue;
+        float NonTerminal = S.Done ? 0.0f : 1.0f;
+        float Delta = S.Reward +
+                      static_cast<float>(Config.Gamma) * VNext * NonTerminal -
+                      S.Value;
+        Gae = Delta + static_cast<float>(Config.Gamma * Config.GaeLambda) *
+                          NonTerminal * Gae;
+        Adv[J][Step] = Gae;
+        Ret[J][Step] = Gae + S.Value;
+      }
+    }
+
+    std::vector<std::pair<size_t, size_t>> Index;
+    for (size_t J = 0; J < Trajs.size(); ++J)
+      for (size_t Step = 0; Step < Trajs[J].Steps.size(); ++Step)
+        Index.push_back({J, Step});
+    if (Config.AnnealLr) {
+      double Frac = 1.0 - static_cast<double>(StepsDone) /
+                              std::max(1u, Config.TotalSteps);
+      Optimizer.setLr(Config.Lr * std::max(0.05, Frac));
+    }
+
+    double SumPolicyLoss = 0, SumValueLoss = 0, SumEntropy = 0, SumKl = 0,
+           SumClip = 0;
+    size_t BatchCount = 0;
+    size_t BatchSize = Index.size();
+    size_t MbSize = std::max<size_t>(1, BatchSize / Config.MiniBatches);
+    for (unsigned Epoch = 0; Epoch < Config.Epochs; ++Epoch) {
+      SampleRng.shuffle(Index);
+      for (size_t Start = 0; Start < BatchSize; Start += MbSize) {
+        size_t End = std::min(BatchSize, Start + MbSize);
+        size_t Count = End - Start;
+        double Mean = 0, Var = 0;
+        for (size_t I = Start; I < End; ++I)
+          Mean += Adv[Index[I].first][Index[I].second];
+        Mean /= Count;
+        for (size_t I = Start; I < End; ++I) {
+          double D = Adv[Index[I].first][Index[I].second] - Mean;
+          Var += D * D;
+        }
+        double Std = std::sqrt(Var / Count) + 1e-8;
+
+        // x + c as its own node, the way the per-sample tape shifted
+        // by a constant.
+        auto Shift = [](const Tensor &X, float C) {
+          return add(X, Tensor::scalar(C));
+        };
+        Tensor Loss = Tensor::scalar(0.0f);
+        double KlAccum = 0, ClipAccum = 0, EntAccum = 0, PlAccum = 0,
+               VlAccum = 0;
+        for (size_t I = Start; I < End; ++I) {
+          const Transition &S = Trajs[Index[I].first].Steps[Index[I].second];
+          float A = static_cast<float>(
+              Config.NormAdvantage
+                  ? (Adv[Index[I].first][Index[I].second] - Mean) / Std
+                  : Adv[Index[I].first][Index[I].second]);
+          float R = Ret[Index[I].first][Index[I].second];
+
+          ActorCritic::Output Out = Net.forward({{S.Obs, S.Mask}});
+          Tensor LogP = logSoftmax(Out.MaskedLogits);
+          Tensor NewLogProb = gather(LogP, {S.Action});
+          Tensor Ratio = expT(Shift(NewLogProb, -S.LogProb));
+          Tensor Surr1 = scalarMul(Ratio, A);
+          Tensor Surr2 = scalarMul(
+              clampRange(Ratio, 1.0f - static_cast<float>(Config.ClipCoef),
+                         1.0f + static_cast<float>(Config.ClipCoef)),
+              A);
+          Tensor PolicyLoss = neg(minElem(Surr1, Surr2));
+          Tensor VDiff = Shift(Out.Value, -R);
+          Tensor VLoss = mul(VDiff, VDiff);
+          if (Config.ClipVLoss) {
+            Tensor VClipped =
+                Shift(clampRange(Shift(Out.Value, -S.Value),
+                                 -static_cast<float>(Config.ClipCoef),
+                                 static_cast<float>(Config.ClipCoef)),
+                      S.Value - R);
+            Tensor VLossClipped = mul(VClipped, VClipped);
+            VLoss = neg(minElem(neg(VLoss), neg(VLossClipped)));
+          }
+          Tensor Probs = expT(LogP);
+          Tensor Entropy = neg(sumT(mul(Probs, LogP)));
+          Tensor SampleLoss = add(
+              PolicyLoss,
+              add(scalarMul(VLoss, static_cast<float>(Config.VfCoef) * 0.5f),
+                  scalarMul(Entropy, -static_cast<float>(Config.EntCoef))));
+          Loss = add(Loss, SampleLoss);
+
+          double RatioVal = Ratio.item();
+          double LogRatio = NewLogProb.item() - S.LogProb;
+          KlAccum += (RatioVal - 1.0) - LogRatio;
+          ClipAccum += std::fabs(RatioVal - 1.0) > Config.ClipCoef;
+          EntAccum += Entropy.item();
+          PlAccum += PolicyLoss.item();
+          VlAccum += VLoss.item();
+        }
+        Loss = scalarMul(Loss, 1.0f / static_cast<float>(Count));
+        Optimizer.zeroGrad();
+        Loss.backward();
+        clipGradNorm(Net.parameters(), Config.MaxGradNorm);
+        Optimizer.step();
+        SumPolicyLoss += PlAccum / Count;
+        SumValueLoss += VlAccum / Count;
+        SumEntropy += EntAccum / Count;
+        SumKl += KlAccum / Count;
+        SumClip += ClipAccum / Count;
+        ++BatchCount;
+      }
+    }
+    UpdateStats Stats;
+    Stats.PolicyLoss = SumPolicyLoss / BatchCount;
+    Stats.ValueLoss = SumValueLoss / BatchCount;
+    Stats.Entropy = SumEntropy / BatchCount;
+    Stats.ApproxKl = SumKl / BatchCount;
+    Stats.ClipFraction = SumClip / BatchCount;
+    return Stats;
+  }
+
+private:
+  PpoConfig Config;
+  Rng SampleRng;
+  ActorCritic Net;
+  Adam Optimizer;
+  unsigned StepsDone = 0;
+};
+
+bool sameBits(double A, double B) { return std::memcmp(&A, &B, sizeof A) == 0; }
+
+} // namespace
+
+TEST(BatchedUpdateTest, EqualsPerSampleReferenceTape) {
+  // Random batches over envs of different row and action counts (so
+  // minibatches are ragged), at both network widths, with one and with
+  // several minibatches per epoch. After every update, each parameter
+  // gradient (the last minibatch's, clipped) and each weight must equal
+  // the reference tape's bit for bit, and so must the loss diagnostics.
+  struct Case {
+    std::vector<size_t> Rows;
+    size_t Channels, Hidden;
+    unsigned MiniBatches, Epochs;
+    bool ClipVLoss;
+  };
+  const std::vector<Case> Cases = {
+      {{9, 9}, 16, 64, 1, 1, true},
+      {{9, 23, 14}, 16, 64, 3, 2, true},
+      {{31, 6}, 4, 16, 2, 2, false},
+      {{12}, 4, 16, 4, 1, true},
+  };
+  const size_t Features = 7;
+  for (size_t CI = 0; CI < Cases.size(); ++CI) {
+    const Case &C = Cases[CI];
+    SCOPED_TRACE(testing::Message() << "case " << CI);
+    std::vector<std::unique_ptr<GeometryEnv>> Envs;
+    std::vector<Env *> Pool;
+    for (size_t J = 0; J < C.Rows.size(); ++J) {
+      Envs.push_back(std::make_unique<GeometryEnv>(
+          C.Rows[J], Features, static_cast<unsigned>(4 + 2 * J)));
+      Pool.push_back(Envs.back().get());
+    }
+    PpoConfig PC;
+    PC.Seed = 40 + CI;
+    PC.Channels = C.Channels;
+    PC.Hidden = C.Hidden;
+    PC.MiniBatches = C.MiniBatches;
+    PC.Epochs = C.Epochs;
+    PC.ClipVLoss = C.ClipVLoss;
+    PC.TotalSteps = 256;
+    PpoTrainer Trainer(Pool, PC);
+    ReferenceTrainer Reference(Trainer.net().config(), PC);
+
+    Rng R(90 + CI);
+    for (int Update = 0; Update < 3; ++Update) {
+      SCOPED_TRACE(testing::Message() << "update " << Update);
+      TrajectoryBatch Batch;
+      for (const std::unique_ptr<GeometryEnv> &E : Envs)
+        Batch.Trajectories.push_back(randomTrajectory(
+            R, *E, Trainer.net().config().Actions, 5 + Update));
+      UpdateStats Got = Trainer.updateFromBatch(Batch);
+      UpdateStats Want = Reference.update(Batch);
+
+      std::vector<Tensor> P = Trainer.net().parameters();
+      std::vector<Tensor> Q = Reference.net().parameters();
+      ASSERT_EQ(P.size(), Q.size());
+      for (size_t I = 0; I < P.size(); ++I) {
+        SCOPED_TRACE(testing::Message() << "parameter " << I);
+        ASSERT_EQ(P[I].size(), Q[I].size());
+        EXPECT_EQ(std::memcmp(P[I].grad().data(), Q[I].grad().data(),
+                              P[I].size() * sizeof(float)),
+                  0);
+        EXPECT_EQ(std::memcmp(P[I].data().data(), Q[I].data().data(),
+                              P[I].size() * sizeof(float)),
+                  0);
+      }
+      EXPECT_TRUE(sameBits(Got.PolicyLoss, Want.PolicyLoss));
+      EXPECT_TRUE(sameBits(Got.ValueLoss, Want.ValueLoss));
+      EXPECT_TRUE(sameBits(Got.Entropy, Want.Entropy));
+      EXPECT_TRUE(sameBits(Got.ApproxKl, Want.ApproxKl));
+      EXPECT_TRUE(sameBits(Got.ClipFraction, Want.ClipFraction));
+    }
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -446,6 +446,21 @@ TEST(ServeTest, PersistFailuresAreCountedNotSwallowed) {
   std::filesystem::remove_all(Blocker);
 }
 
+TEST(ServeTest, ZeroGameRepeatsAnswerFailedInProcess) {
+  // The wire decoder refuses this config before it reaches a service;
+  // an in-process submit gets the optimizer's refusal as its answer.
+  gpusim::Gpu Device;
+  OptimizationService Service(Device, tinyService(1));
+  OptimizeRequest R = request(WorkloadKind::Softmax);
+  core::OptimizeConfig C = tinyConfig();
+  C.Game.Measure.RepeatIters = 0;
+  R.Config = C;
+  ResponsePtr Resp = Service.submit(R).Response.get();
+  EXPECT_EQ(Resp->St, OptimizeResponse::Status::Failed);
+  EXPECT_NE(Resp->Error.find("Game.Measure.RepeatIters"), std::string::npos)
+      << Resp->Error;
+}
+
 TEST(ServeTest, RequestKeySeparatesConfigsAndGpuTypes) {
   core::OptimizeConfig Defaults = tinyConfig();
   OptimizeRequest A = request(WorkloadKind::Softmax);
