@@ -297,6 +297,10 @@ CubinFile::deserialize(const std::vector<uint8_t> &Bytes) {
   }
   if (!R.ok())
     return Error("truncated cubin");
+  // Exactly one encoding per file: bytes past the last section would
+  // let two different byte strings decode to the same cubin.
+  if (!R.atEnd())
+    return Error("trailing bytes after the last cubin section");
   return File;
 }
 

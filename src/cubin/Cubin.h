@@ -66,6 +66,9 @@ public:
   /// \name Byte-level serialization
   /// @{
   std::vector<uint8_t> serialize() const;
+  /// The inverse of serialize(): \p Bytes must hold exactly one
+  /// container, so a decoded file serializes back to \p Bytes.
+  /// Truncated input and trailing bytes are errors.
   static Expected<CubinFile> deserialize(const std::vector<uint8_t> &Bytes);
   /// @}
 

@@ -75,6 +75,14 @@ std::string configDigest(const core::OptimizeConfig &C) {
   return Hex;
 }
 
+/// The one place a request key is built: requestKey() and admit() both
+/// come here, so a key from the stored default digest cannot drift
+/// from the public function's.
+std::string keyFor(const OptimizeRequest &R, const std::string &Digest) {
+  return triton::DeployCache::makeKey(
+      R.GpuType, triton::Autotuner::requestKey(R.Kind, R.Shape), Digest);
+}
+
 std::shared_future<ResponsePtr> readyFuture(ResponsePtr Resp) {
   std::promise<ResponsePtr> P;
   P.set_value(std::move(Resp));
@@ -101,15 +109,13 @@ std::shared_future<ResponsePtr> rejectedFuture(std::string Key,
 std::string
 OptimizationService::requestKey(const OptimizeRequest &R,
                                 const core::OptimizeConfig &Defaults) {
-  const core::OptimizeConfig &C = R.Config ? *R.Config : Defaults;
-  return triton::DeployCache::makeKey(
-      R.GpuType, triton::Autotuner::requestKey(R.Kind, R.Shape),
-      configDigest(C));
+  return keyFor(R, configDigest(R.Config ? *R.Config : Defaults));
 }
 
 OptimizationService::OptimizationService(const gpusim::Gpu &Proto,
                                          ServiceConfig C)
-    : Config(std::move(C)), Prototype(Proto),
+    : Config(std::move(C)), DefaultsDigest(configDigest(Config.Defaults)),
+      Prototype(Proto),
       Workers(support::ThreadPool::resolveWorkerCount(Config.Workers)),
       Clk(Config.ClockSrc ? Config.ClockSrc : &support::Clock::real()),
       Queue(JobQueue::Options{Config.MaxQueued, Clk, Config.AgingInterval,
@@ -226,7 +232,9 @@ void OptimizationService::resolveUnrun(const JobPtr &Job,
 Ticket OptimizationService::admit(const OptimizeRequest &R,
                                   Callback OnComplete, bool Blocking) {
   const support::Clock::TimePoint Admitted = Clk->now();
-  std::string Key = requestKey(R, Config.Defaults);
+  // Only a request that overrides the config pays for a digest.
+  std::string Key =
+      keyFor(R, R.Config ? configDigest(*R.Config) : DefaultsDigest);
   Ticket Tk;
   Tk.Key = Key;
 

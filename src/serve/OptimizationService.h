@@ -459,6 +459,9 @@ private:
   void heartbeatLoop();
 
   ServiceConfig Config;
+  /// configDigest(Config.Defaults), taken once: the key of every
+  /// request without its own Config is built from it.
+  const std::string DefaultsDigest;
   gpusim::Gpu Prototype; ///< Pristine device every job copies.
   std::unique_ptr<triton::DeployCache> Deploy; ///< Null when disabled.
   std::unique_ptr<PolicyStore> Policies;       ///< Null when disabled.

@@ -10,8 +10,6 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <system_error>
 
 using namespace cuasmrl;
@@ -20,17 +18,6 @@ using namespace cuasmrl::serve;
 namespace {
 
 const char PolicyExt[] = ".policy";
-
-std::optional<std::string> readFile(const std::string &Path) {
-  std::ifstream IS(Path, std::ios::binary);
-  if (!IS)
-    return std::nullopt;
-  std::ostringstream SS;
-  SS << IS.rdbuf();
-  if (!IS)
-    return std::nullopt;
-  return SS.str();
-}
 
 } // namespace
 
@@ -50,7 +37,8 @@ PolicyStore::PolicyStore(std::string Dir) : Directory(std::move(Dir)) {
         Name.compare(Name.size() - Ext.size(), Ext.size(), Ext) != 0)
       continue;
     std::string Key = Name.substr(0, Name.size() - Ext.size());
-    std::optional<std::string> Meta = readFile(Entry.path().string());
+    std::optional<std::string> Meta =
+        support::readFile(Entry.path().string());
     if (!Meta)
       continue;
     if (std::optional<DeployedEntry> Parsed = parseDeployMeta(*Meta, Key))
@@ -86,7 +74,7 @@ bool PolicyStore::store(const std::string &Key,
 
 std::optional<std::string>
 PolicyStore::load(const std::string &Key) const {
-  return readFile(pathFor(Key));
+  return support::readFile(pathFor(Key));
 }
 
 std::optional<std::string>

@@ -7,9 +7,12 @@
 #include "support/AtomicFile.h"
 
 #include <atomic>
+#include <cerrno>
 #include <filesystem>
 #include <fstream>
 
+#include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 using namespace cuasmrl;
@@ -43,6 +46,44 @@ bool support::atomicWriteFile(const std::string &Path, const void *Data,
 bool support::atomicWriteFile(const std::string &Path,
                               const std::string &Bytes) {
   return atomicWriteFile(Path, Bytes.data(), Bytes.size());
+}
+
+std::optional<std::string> support::readFile(const std::string &Path) {
+  int Fd = -1;
+  do {
+    Fd = ::open(Path.c_str(), O_RDONLY | O_CLOEXEC);
+  } while (Fd < 0 && errno == EINTR);
+  if (Fd < 0)
+    return std::nullopt;
+  // Closes on every exit, an allocation failure included.
+  struct FdCloser {
+    int Fd;
+    ~FdCloser() { ::close(Fd); }
+  } Closer{Fd};
+  // One spare byte past the stat size: the read that sees EOF needs
+  // room, and without it every read would end in a regrow. A file that
+  // grows meanwhile (or a stat that reports 0) still reads to EOF.
+  struct stat St {};
+  size_t Hint = ::fstat(Fd, &St) == 0 && St.st_size > 0
+                    ? static_cast<size_t>(St.st_size)
+                    : 0;
+  std::string Bytes(Hint + 1, '\0');
+  size_t Len = 0;
+  for (;;) {
+    if (Len == Bytes.size())
+      Bytes.resize(2 * Bytes.size());
+    ssize_t N = ::read(Fd, &Bytes[Len], Bytes.size() - Len);
+    if (N == 0)
+      break;
+    if (N < 0) {
+      if (errno == EINTR)
+        continue;
+      return std::nullopt; // A directory fails here with EISDIR.
+    }
+    Len += static_cast<size_t>(N);
+  }
+  Bytes.resize(Len);
+  return Bytes;
 }
 
 unsigned support::sweepOrphanTmpFiles(const std::string &Dir) {

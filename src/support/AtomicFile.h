@@ -1,4 +1,4 @@
-//===- support/AtomicFile.h - Atomic write-then-rename files ----------------===//
+//===- support/AtomicFile.h - Whole-file reads, atomic writes ---------------===//
 //
 // Part of the CuAsmRL reproduction. Apache License v2.0.
 //
@@ -15,12 +15,17 @@
 /// leaves a `.tmp.<pid>.<n>` orphan that no protocol ever reads;
 /// sweepOrphanTmpFiles() reclaims them.
 ///
+/// The matching read idiom is readFile(): one open, one fstat to size
+/// the buffer, reads to EOF, one close. Every whole-file reader of
+/// those stores goes through it.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef CUASMRL_SUPPORT_ATOMICFILE_H
 #define CUASMRL_SUPPORT_ATOMICFILE_H
 
 #include <cstddef>
+#include <optional>
 #include <string>
 
 namespace cuasmrl {
@@ -37,6 +42,13 @@ bool atomicWriteFile(const std::string &Path, const void *Data,
 
 /// Text/blob convenience overload.
 bool atomicWriteFile(const std::string &Path, const std::string &Bytes);
+
+/// The whole contents of \p Path: opens it, sizes the buffer from
+/// fstat, reads to EOF (retrying reads interrupted by a signal) and
+/// closes it. An empty file reads as an empty string. nullopt when the
+/// path cannot be opened or read: it is missing, unreadable, or a
+/// directory.
+std::optional<std::string> readFile(const std::string &Path);
 
 /// Deletes leftover `*.tmp.*` siblings in \p Dir (see the file
 /// comment) and returns how many were removed. A missing directory is

@@ -6,11 +6,12 @@
 
 #include "support/FileLock.h"
 
+#include "support/AtomicFile.h"
+
 #include <atomic>
 #include <cerrno>
 #include <fcntl.h>
 #include <filesystem>
-#include <fstream>
 #include <unistd.h>
 
 using namespace cuasmrl;
@@ -41,11 +42,7 @@ bool FileLock::tryClaim(const std::string &Path, const std::string &Token) {
 }
 
 std::optional<std::string> FileLock::owner(const std::string &Path) {
-  std::ifstream IS(Path, std::ios::binary);
-  if (!IS)
-    return std::nullopt;
-  return std::string((std::istreambuf_iterator<char>(IS)),
-                     std::istreambuf_iterator<char>());
+  return readFile(Path);
 }
 
 bool FileLock::refresh(const std::string &Path, const std::string &Token) {

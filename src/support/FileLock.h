@@ -70,7 +70,8 @@ public:
   /// call unlinked the file.
   static bool release(const std::string &Path, const std::string &Token);
 
-  /// The token stored in the claim file, or nullopt when absent.
+  /// The token stored in the claim file, or nullopt when absent or
+  /// unreadable (support::readFile).
   static std::optional<std::string> owner(const std::string &Path);
 
   /// Time since the last heartbeat (file mtime), or nullopt when the

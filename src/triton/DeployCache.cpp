@@ -13,7 +13,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 
 using namespace cuasmrl;
 using namespace cuasmrl::triton;
@@ -88,18 +87,16 @@ bool DeployCache::store(const std::string &Key,
 
 std::optional<cubin::CubinFile>
 DeployCache::load(const std::string &Key) const {
-  std::ifstream IS(pathFor(Key), std::ios::binary);
-  if (!IS)
+  std::optional<std::string> Bytes = support::readFile(pathFor(Key));
+  if (!Bytes)
     return std::nullopt;
   // An injected corruption behaves like a deserialize failure: the
   // file exists (contains() is true) but decodes to nothing — the
   // distinction the service's load-retry path keys on.
   if (Faults && Faults->shouldFail("cache-load-corrupt:" + Key))
     return std::nullopt;
-  std::vector<uint8_t> Bytes(
-      (std::istreambuf_iterator<char>(IS)),
-      std::istreambuf_iterator<char>());
-  Expected<cubin::CubinFile> File = cubin::CubinFile::deserialize(Bytes);
+  Expected<cubin::CubinFile> File = cubin::CubinFile::deserialize(
+      std::vector<uint8_t>(Bytes->begin(), Bytes->end()));
   if (!File)
     return std::nullopt;
   return File.takeValue();
@@ -116,11 +113,7 @@ bool DeployCache::storeMeta(const std::string &Key,
 
 std::optional<std::string>
 DeployCache::loadMeta(const std::string &Key) const {
-  std::ifstream IS(metaPathFor(Key), std::ios::binary);
-  if (!IS)
-    return std::nullopt;
-  return std::string((std::istreambuf_iterator<char>(IS)),
-                     std::istreambuf_iterator<char>());
+  return support::readFile(metaPathFor(Key));
 }
 
 unsigned DeployCache::sweepOrphanTmps() {

@@ -73,7 +73,11 @@ public:
   /// failure.
   bool store(const std::string &Key, const cubin::CubinFile &File);
 
-  /// Deploy-time lookup: loads and decodes the cached cubin.
+  /// Deploy-time lookup: reads the cached cubin in one
+  /// support::readFile and decodes it. nullopt when the file is
+  /// missing or unreadable, or when its bytes do not decode to exactly
+  /// one cubin (truncated, corrupt, or followed by trailing bytes) —
+  /// contains() tells a miss from a corrupt entry.
   std::optional<cubin::CubinFile> load(const std::string &Key) const;
 
   bool contains(const std::string &Key) const;
@@ -89,7 +93,8 @@ public:
   /// index from the directory alone. \returns false on I/O failure.
   bool storeMeta(const std::string &Key, const std::string &Text);
 
-  /// The sidecar text, or nullopt when absent/unreadable.
+  /// The sidecar text, or nullopt when absent/unreadable (a directory
+  /// at the path included).
   std::optional<std::string> loadMeta(const std::string &Key) const;
 
   /// Deletes leftover `*.tmp.*` siblings (see the constructor) and

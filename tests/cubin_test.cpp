@@ -121,6 +121,23 @@ TEST(Cubin, DeserializeRejectsGarbage) {
   EXPECT_FALSE(CubinFile::deserialize(Truncated).hasValue());
 }
 
+TEST(Cubin, DeserializeRejectsTrailingBytes) {
+  // serialize() plus anything is not a cubin: a decoder that stopped
+  // after the last section would read two byte strings as one file.
+  std::vector<uint8_t> Bytes = assemble(parseOrDie(SampleText), {})
+                                   .serialize();
+  ASSERT_TRUE(CubinFile::deserialize(Bytes).hasValue());
+  for (std::vector<uint8_t> Tail :
+       {std::vector<uint8_t>{0}, std::vector<uint8_t>{0xFF, 0x01},
+        std::vector<uint8_t>(Bytes.begin(), Bytes.begin() + 12)}) {
+    std::vector<uint8_t> Padded = Bytes;
+    Padded.insert(Padded.end(), Tail.begin(), Tail.end());
+    Expected<CubinFile> Back = CubinFile::deserialize(Padded);
+    ASSERT_FALSE(Back.hasValue()) << Tail.size() << " trailing bytes";
+    EXPECT_NE(Back.error().str().find("trailing"), std::string::npos);
+  }
+}
+
 TEST(Cubin, ReplaceKernelSectionPreservesOthers) {
   sass::Program P = parseOrDie(SampleText);
   CubinFile File = assemble(P, {});

@@ -27,6 +27,8 @@
 #include "triton/DeployCache.h"
 #include "triton/Pipeline.h"
 
+#include "TempDir.h"
+
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -38,16 +40,6 @@ using namespace cuasmrl::kernels;
 using namespace cuasmrl::serve;
 
 namespace {
-
-/// Fresh scratch directory, removed again on destruction.
-struct TempDir {
-  std::string Path;
-  explicit TempDir(const std::string &Name)
-      : Path((std::filesystem::temp_directory_path() / Name).string()) {
-    std::filesystem::remove_all(Path);
-  }
-  ~TempDir() { std::filesystem::remove_all(Path); }
-};
 
 /// The serve_test tiny configuration: real training, sub-second jobs.
 core::OptimizeConfig tinyConfig() {
@@ -250,8 +242,9 @@ TEST(FaultInjectorTest, PlannedDelaysPopInOrder) {
 //===----------------------------------------------------------------------===//
 
 TEST(DeployCacheFaultTest, StoreFailSiteFailsWithoutPartialState) {
-  TempDir Dir("cuasmrl_fault_cache_store");
-  triton::DeployCache Cache(Dir.Path);
+  test::TempDir Tmp;
+  const std::string Dir = Tmp.sub("deploy");
+  triton::DeployCache Cache(Dir);
   support::FaultInjector F;
   Cache.setFaultInjector(&F);
   F.plan("cache-store-fail:k", {1});
@@ -259,15 +252,15 @@ TEST(DeployCacheFaultTest, StoreFailSiteFailsWithoutPartialState) {
   cubin::CubinFile Bin = smallCubin();
   EXPECT_FALSE(Cache.store("k", Bin));
   EXPECT_FALSE(Cache.contains("k")); // No file, no tmp debris.
-  EXPECT_TRUE(!std::filesystem::exists(Dir.Path) ||
-              std::filesystem::is_empty(Dir.Path));
+  EXPECT_TRUE(!std::filesystem::exists(Dir) ||
+              std::filesystem::is_empty(Dir));
   EXPECT_TRUE(Cache.store("k", Bin)); // Schedule exhausted: succeeds.
   EXPECT_TRUE(Cache.contains("k"));
 }
 
 TEST(DeployCacheFaultTest, LoadCorruptSiteLooksLikeDeserializeFailure) {
-  TempDir Dir("cuasmrl_fault_cache_load");
-  triton::DeployCache Cache(Dir.Path);
+  test::TempDir Dir;
+  triton::DeployCache Cache(Dir.path());
   support::FaultInjector F;
   Cache.setFaultInjector(&F);
   ASSERT_TRUE(Cache.store("k", smallCubin()));
@@ -281,19 +274,19 @@ TEST(DeployCacheFaultTest, LoadCorruptSiteLooksLikeDeserializeFailure) {
 }
 
 TEST(DeployCacheOrphanTest, ConstructionSweepsStaleTmpSiblings) {
-  TempDir Dir("cuasmrl_fault_cache_orphans");
+  test::TempDir Dir;
   {
-    triton::DeployCache Cache(Dir.Path);
+    triton::DeployCache Cache(Dir.path());
     ASSERT_TRUE(Cache.store("keep", smallCubin()));
   }
   // Plant the debris a crashed writer would leave: tmp siblings that
   // never reached their rename.
-  std::ofstream(Dir.Path + "/keep.cubin.tmp.1234.7") << "torn write";
-  std::ofstream(Dir.Path + "/gone.cubin.tmp.99.1") << "torn write";
+  std::ofstream(Dir.path() + "/keep.cubin.tmp.1234.7") << "torn write";
+  std::ofstream(Dir.path() + "/gone.cubin.tmp.99.1") << "torn write";
 
-  triton::DeployCache Cache(Dir.Path); // The ctor sweep runs here.
+  triton::DeployCache Cache(Dir.path()); // The ctor sweep runs here.
   std::vector<std::string> Names;
-  for (const auto &Entry : std::filesystem::directory_iterator(Dir.Path))
+  for (const auto &Entry : std::filesystem::directory_iterator(Dir.path()))
     Names.push_back(Entry.path().filename().string());
   ASSERT_EQ(Names.size(), 1u);
   EXPECT_EQ(Names[0], "keep.cubin");
@@ -442,22 +435,21 @@ namespace {
 
 /// One service over a fake clock and injector, one worker.
 struct FaultHarness {
-  TempDir Dir;
+  test::TempDir Dir;
   support::FakeClock Clock;
   support::FaultInjector Faults;
   gpusim::Gpu Device;
   ServiceConfig SC;
   std::unique_ptr<OptimizationService> Service;
 
-  explicit FaultHarness(const std::string &Name, bool WithCache = true)
-      : Dir("cuasmrl_fault_" + Name) {
+  explicit FaultHarness(bool WithCache = true) {
     SC.Workers = 1;
     SC.Defaults = tinyConfig();
     SC.ClockSrc = &Clock;
     SC.Faults = &Faults;
     SC.Retry.BaseDelay = std::chrono::milliseconds(1);
     if (WithCache)
-      SC.DeployDir = Dir.Path;
+      SC.DeployDir = Dir.path();
     Service = std::make_unique<OptimizationService>(Device, SC);
   }
   std::string key(const OptimizeRequest &R) const {
@@ -468,7 +460,7 @@ struct FaultHarness {
 } // namespace
 
 TEST(ServiceRetryTest, StoreRetriesThenPersists) {
-  FaultHarness H("store_retry");
+  FaultHarness H;
   OptimizeRequest R = softmaxRequest(512);
   H.Faults.plan("cache-store-fail:" + H.key(R), {1, 1});
 
@@ -485,7 +477,7 @@ TEST(ServiceRetryTest, StoreRetriesThenPersists) {
 }
 
 TEST(ServiceRetryTest, StoreRetriesExhaustSurfaceAsPersistFailure) {
-  FaultHarness H("store_exhaust");
+  FaultHarness H;
   OptimizeRequest R = softmaxRequest(512);
   H.Faults.plan("cache-store-fail:" + H.key(R), {1, 1, 1});
 
@@ -501,7 +493,7 @@ TEST(ServiceRetryTest, StoreRetriesExhaustSurfaceAsPersistFailure) {
 }
 
 TEST(ServiceRetryTest, TransientJobErrorRetriesThenSucceeds) {
-  FaultHarness H("job_transient");
+  FaultHarness H;
   OptimizeRequest R = softmaxRequest(512);
   H.Faults.plan("job-transient:" + H.key(R), {1, 0});
 
@@ -515,7 +507,7 @@ TEST(ServiceRetryTest, TransientJobErrorRetriesThenSucceeds) {
 }
 
 TEST(ServiceRetryTest, TransientJobErrorExhaustsToFailed) {
-  FaultHarness H("job_exhaust");
+  FaultHarness H;
   OptimizeRequest R = softmaxRequest(512);
   H.Faults.plan("job-transient:" + H.key(R), {1, 1, 1});
 
@@ -530,7 +522,7 @@ TEST(ServiceRetryTest, TransientJobErrorExhaustsToFailed) {
 }
 
 TEST(ServiceRetryTest, CorruptLoadRetriesThenServesHit) {
-  FaultHarness H("load_retry");
+  FaultHarness H;
   OptimizeRequest R = softmaxRequest(512);
   ResponsePtr First = H.Service->submit(R).Response.get();
   ASSERT_TRUE(First->Persisted);
@@ -543,6 +535,36 @@ TEST(ServiceRetryTest, CorruptLoadRetriesThenServesHit) {
   EXPECT_EQ(S.LoadRetries, 1u);
   EXPECT_EQ(S.LookupHits, 1u);
   EXPECT_EQ(S.OptimizeRuns, 1u); // Only the first submit trained.
+  H.Service->shutdown();
+}
+
+TEST(ServiceRetryTest, TrailingBytesTakeTheCorruptReadPath) {
+  // A deployed cubin with a byte appended is no hit: every read of it
+  // is a corrupt read, so the lookup retries, gives up and re-optimizes.
+  // The new store replaces the bad file, and the next lookup hits.
+  FaultHarness H;
+  OptimizeRequest R = softmaxRequest(512);
+  ResponsePtr First = H.Service->submit(R).Response.get();
+  ASSERT_TRUE(First->Persisted);
+  {
+    std::ofstream OS(H.Dir.path() + "/" + H.key(R) + ".cubin",
+                     std::ios::binary | std::ios::app);
+    OS.put('\0');
+  }
+
+  Ticket T = H.Service->submit(R);
+  EXPECT_EQ(T.How, Admission::Enqueued);
+  ResponsePtr Second = T.Response.get();
+  EXPECT_EQ(Second->St, OptimizeResponse::Status::Optimized);
+  EXPECT_TRUE(Second->Persisted);
+  EXPECT_EQ(Second->Binary.serialize(), First->Binary.serialize());
+  ServiceStats S = H.Service->stats();
+  EXPECT_EQ(S.LoadRetries, H.SC.Retry.MaxAttempts - 1);
+  EXPECT_EQ(S.RetryExhausted, 1u);
+  EXPECT_EQ(S.LookupHits, 0u);
+  EXPECT_EQ(S.OptimizeRuns, 2u);
+
+  EXPECT_EQ(H.Service->submit(R).How, Admission::LookupHit);
   H.Service->shutdown();
 }
 
@@ -605,7 +627,7 @@ TEST(ServiceFaultTest, ThrownJobFailsAllWaitersAndFreesTheKey) {
 //===----------------------------------------------------------------------===//
 
 TEST(ServiceDegradedTest, NearMissServesNearestThenUpgrades) {
-  FaultHarness H("degraded");
+  FaultHarness H;
   // Deploy the near-miss source shape.
   OptimizeRequest Seed = softmaxRequest(512);
   ASSERT_TRUE(H.Service->submit(Seed).Response.get()->Persisted);
@@ -633,7 +655,7 @@ TEST(ServiceDegradedTest, NearMissServesNearestThenUpgrades) {
 }
 
 TEST(ServiceDegradedTest, RequestFlagOptsOut) {
-  FaultHarness H("degraded_optout");
+  FaultHarness H;
   OptimizeRequest Seed = softmaxRequest(512);
   ASSERT_TRUE(H.Service->submit(Seed).Response.get()->Persisted);
 
@@ -647,12 +669,12 @@ TEST(ServiceDegradedTest, RequestFlagOptsOut) {
 }
 
 TEST(ServiceDegradedTest, IndexRebuildsFromSidecarsAcrossRestart) {
-  TempDir Dir("cuasmrl_fault_restart");
+  test::TempDir Dir;
   gpusim::Gpu Device;
   ServiceConfig SC;
   SC.Workers = 1;
   SC.Defaults = tinyConfig();
-  SC.DeployDir = Dir.Path;
+  SC.DeployDir = Dir.path();
   OptimizeRequest Seed = softmaxRequest(512);
   {
     OptimizationService Service(Device, SC);
@@ -687,14 +709,14 @@ struct ScenarioOutcome {
 };
 
 ScenarioOutcome runFaultSchedule(unsigned Workers) {
-  TempDir Dir("cuasmrl_fault_sched_w" + std::to_string(Workers));
+  test::TempDir Dir;
   support::FakeClock Clock;
   support::FaultInjector Faults(/*Seed=*/42);
   gpusim::Gpu Device;
   ServiceConfig SC;
   SC.Workers = Workers;
   SC.Defaults = tinyConfig();
-  SC.DeployDir = Dir.Path;
+  SC.DeployDir = Dir.path();
   SC.ClockSrc = &Clock;
   SC.Faults = &Faults;
   SC.Retry.BaseDelay = std::chrono::milliseconds(1);

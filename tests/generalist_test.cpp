@@ -24,6 +24,8 @@
 #include "support/Rng.h"
 #include "support/StringUtils.h"
 
+#include "TempDir.h"
+
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -72,13 +74,6 @@ core::OptimizeConfig tinyConfig() {
   C.AutotuneMeasure.NoiseStddev = 0.0;
   C.ProbTestRounds = 1;
   return C;
-}
-
-std::string freshDir(const std::string &Name) {
-  std::string Dir =
-      (std::filesystem::temp_directory_path() / Name).string();
-  std::filesystem::remove_all(Dir);
-  return Dir;
 }
 
 } // namespace
@@ -506,7 +501,8 @@ serve::DeployedEntry policyMeta(WorkloadKind Kind, unsigned Rows,
 } // namespace
 
 TEST(PolicyStoreTest, StoreLoadAndNearestShape) {
-  std::string Dir = freshDir("cuasmrl_policy_store_test");
+  test::TempDir Tmp;
+  std::string Dir = Tmp.sub("policies");
   serve::PolicyStore Store(Dir);
   EXPECT_EQ(Store.size(), 0u);
   EXPECT_FALSE(Store.load("missing").has_value());
@@ -536,11 +532,11 @@ TEST(PolicyStoreTest, StoreLoadAndNearestShape) {
                    .has_value());
   EXPECT_FALSE(Store.nearest("A100-SIM", WorkloadKind::MmLeakyRelu, Query, "")
                    .has_value());
-  std::filesystem::remove_all(Dir);
 }
 
 TEST(PolicyStoreTest, RebuildsFromDirectoryAndSweepsOrphans) {
-  std::string Dir = freshDir("cuasmrl_policy_rebuild_test");
+  test::TempDir Tmp;
+  std::string Dir = Tmp.sub("policies");
   {
     serve::PolicyStore Store(Dir);
     ASSERT_TRUE(Store.store("k1", "blob-1",
@@ -559,7 +555,30 @@ TEST(PolicyStoreTest, RebuildsFromDirectoryAndSweepsOrphans) {
   EXPECT_EQ(Reopened.nearest("A100-SIM", WorkloadKind::Softmax, Query, "")
                 .value_or(""),
             "blob-1");
-  std::filesystem::remove_all(Dir);
+}
+
+TEST(PolicyStoreTest, LoadOutcomesForMissingEmptyAndDirectoryFiles) {
+  test::TempDir Tmp;
+  serve::PolicyStore Store(Tmp.path());
+  EXPECT_FALSE(Store.load("missing").has_value());
+
+  // An empty checkpoint is present: load() hands it over and
+  // rl::ActorCritic::loadCompatible rejects it.
+  { std::ofstream OS(Tmp.sub("empty.policy")); }
+  std::optional<std::string> Empty = Store.load("empty");
+  ASSERT_TRUE(Empty.has_value());
+  EXPECT_TRUE(Empty->empty());
+
+  // A directory at the path is absent: there is no checkpoint to try.
+  std::filesystem::create_directories(Tmp.sub("dir.policy"));
+  EXPECT_FALSE(Store.load("dir").has_value());
+
+  // Neither an empty sidecar nor a directory in a sidecar's place
+  // indexes an entry.
+  { std::ofstream OS(Tmp.sub("e.policy.meta")); }
+  std::filesystem::create_directories(Tmp.sub("d.policy.meta"));
+  serve::PolicyStore Reopened(Tmp.path());
+  EXPECT_EQ(Reopened.size(), 0u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -651,30 +670,39 @@ TEST(WarmStartTest, OptimizeWarmStartTransfersFromBlob) {
   EXPECT_EQ(Warm.WarmStartTensors, 10u);
 }
 
+namespace {
+
+/// Trains one Softmax policy at the test shape and shelves it in
+/// \p Dir as "seed-policy".
+void shelveSeedPolicy(const std::string &Dir, const core::OptimizeConfig &C) {
+  core::Optimizer Opt(C);
+  gpusim::Gpu Device;
+  Rng DataRng(11);
+  core::OptimizeResult Seed =
+      Opt.optimize(Device, WorkloadKind::Softmax,
+                   kernels::testShape(WorkloadKind::Softmax), DataRng);
+  ASSERT_TRUE(Seed.AutotuneValid);
+  serve::PolicyStore Shelf(Dir);
+  serve::DeployedEntry Meta;
+  Meta.GpuType = "A100-SIM";
+  Meta.Kind = WorkloadKind::Softmax;
+  Meta.Shape = kernels::testShape(WorkloadKind::Softmax);
+  Meta.Key = "seed-policy";
+  ASSERT_TRUE(Shelf.store("seed-policy", Seed.PolicyBlob, Meta));
+}
+
+} // namespace
+
 TEST(WarmStartTest, ServiceWarmStartsFromNearestStoredPolicy) {
   // Pre-populate a policy shelf with one trained Softmax policy, then
   // serve a near-shape request from a fixed store (PersistPolicies
   // off): the job must warm-start from it, and — the determinism
   // contract with a fixed store — respond bit-identically for any
   // worker count.
-  std::string Dir = freshDir("cuasmrl_warm_serve_test");
+  test::TempDir Tmp;
+  std::string Dir = Tmp.sub("policies");
   core::OptimizeConfig C = tinyConfig();
-  {
-    core::Optimizer Opt(C);
-    gpusim::Gpu Device;
-    Rng DataRng(11);
-    core::OptimizeResult Seed = Opt.optimize(
-        Device, WorkloadKind::Softmax,
-        kernels::testShape(WorkloadKind::Softmax), DataRng);
-    ASSERT_TRUE(Seed.AutotuneValid);
-    serve::PolicyStore Shelf(Dir);
-    serve::DeployedEntry Meta;
-    Meta.GpuType = "A100-SIM";
-    Meta.Kind = WorkloadKind::Softmax;
-    Meta.Shape = kernels::testShape(WorkloadKind::Softmax);
-    Meta.Key = "seed-policy";
-    ASSERT_TRUE(Shelf.store("seed-policy", Seed.PolicyBlob, Meta));
-  }
+  ASSERT_NO_FATAL_FAILURE(shelveSeedPolicy(Dir, C));
 
   serve::OptimizeRequest R;
   R.Kind = WorkloadKind::Softmax;
@@ -709,14 +737,50 @@ TEST(WarmStartTest, ServiceWarmStartsFromNearestStoredPolicy) {
   EXPECT_EQ(Two->Result.WarmStartTensors, One->Result.WarmStartTensors);
   EXPECT_EQ(Two->Result.OptimizedUs, One->Result.OptimizedUs);
   EXPECT_EQ(Two->Result.OptimizedProg.str(), One->Result.OptimizedProg.str());
-  std::filesystem::remove_all(Dir);
+}
+
+TEST(WarmStartTest, OwnKeyCheckpointDecidesTheSiblingFallback) {
+  // runJob() tries the job's own key first and falls back to the
+  // nearest sibling only when that checkpoint is absent. An empty file
+  // is present (tried, rejected, the job trains cold); a directory in
+  // its place is absent (the job warm-starts from the sibling).
+  test::TempDir Tmp;
+  std::string Dir = Tmp.sub("policies");
+  core::OptimizeConfig C = tinyConfig();
+  ASSERT_NO_FATAL_FAILURE(shelveSeedPolicy(Dir, C));
+
+  serve::OptimizeRequest R;
+  R.Kind = WorkloadKind::Softmax;
+  R.Shape = kernels::testShape(WorkloadKind::Softmax);
+  R.Shape.Rows *= 2;
+  const std::string Own =
+      Dir + "/" + serve::OptimizationService::requestKey(R, C) + ".policy";
+  auto WarmStartedFrom = [&] {
+    serve::ServiceConfig SC;
+    SC.Workers = 1;
+    SC.Seed = 11;
+    SC.Defaults = C;
+    SC.PolicyDir = Dir;
+    SC.PersistPolicies = false;
+    serve::OptimizationService Service(gpusim::Gpu(), SC);
+    serve::ResponsePtr Resp = Service.submit(R).Response.get();
+    EXPECT_EQ(Resp->St, serve::OptimizeResponse::Status::Optimized);
+    return Resp->WarmStartedFrom;
+  };
+
+  { std::ofstream OS(Own); }
+  EXPECT_EQ(WarmStartedFrom(), "");
+  std::filesystem::remove(Own);
+  std::filesystem::create_directories(Own);
+  EXPECT_EQ(WarmStartedFrom(), "seed-policy");
 }
 
 TEST(WarmStartTest, ServicePersistsPoliciesForLaterInstances) {
   // A first service instance trains cold and shelves its policy; a
   // second instance on the same directory warm-starts a near-shape
   // job from it (the restart-survival path).
-  std::string Dir = freshDir("cuasmrl_policy_persist_test");
+  test::TempDir Tmp;
+  std::string Dir = Tmp.sub("policies");
   core::OptimizeConfig C = tinyConfig();
 
   serve::OptimizeRequest First;
@@ -750,5 +814,4 @@ TEST(WarmStartTest, ServicePersistsPoliciesForLaterInstances) {
     EXPECT_FALSE(Resp->WarmStartedFrom.empty());
     EXPECT_GT(Resp->Result.WarmStartTensors, 0u);
   }
-  std::filesystem::remove_all(Dir);
 }

@@ -27,6 +27,8 @@
 #include "support/FileLock.h"
 #include "support/StringUtils.h"
 
+#include "TempDir.h"
+
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -85,13 +87,6 @@ OptimizeRequest request(WorkloadKind Kind, unsigned Rows = 0) {
   if (Rows != 0)
     R.Shape.Rows = Rows;
   return R;
-}
-
-std::string freshDir(const std::string &Name) {
-  std::string Dir =
-      (std::filesystem::temp_directory_path() / Name).string();
-  std::filesystem::remove_all(Dir);
-  return Dir;
 }
 
 /// Bit-identity of everything deterministic on a response. WallMs is
@@ -511,8 +506,8 @@ TEST(NetServerTest, LoopbackStreamMatchesInProcessSubmission) {
 
   for (unsigned Workers : {1u, 2u}) {
     // In-process baseline.
-    std::string DirA = freshDir("cuasmrl_net_inproc_" +
-                                std::to_string(Workers));
+    test::TempDir Tmp;
+    std::string DirA = Tmp.sub("inproc");
     std::vector<WireResponse> InProc;
     {
       OptimizationService Service(Device, tinyService(Workers, DirA));
@@ -527,8 +522,7 @@ TEST(NetServerTest, LoopbackStreamMatchesInProcessSubmission) {
     }
 
     // The same stream through the network front door.
-    std::string DirB =
-        freshDir("cuasmrl_net_loopback_" + std::to_string(Workers));
+    std::string DirB = Tmp.sub("loopback");
     std::vector<WireResponse> OverNet;
     {
       OptimizationService Service(Device, tinyService(Workers, DirB));
@@ -562,8 +556,6 @@ TEST(NetServerTest, LoopbackStreamMatchesInProcessSubmission) {
     EXPECT_EQ(InProc[1].St, WireStatus::Degraded);
     EXPECT_EQ(InProc[4].St, WireStatus::LookupHit);
     EXPECT_EQ(InProc[5].St, WireStatus::LookupHit);
-    std::filesystem::remove_all(DirA);
-    std::filesystem::remove_all(DirB);
   }
 }
 
@@ -924,9 +916,8 @@ TEST(NetServerTest, ShutdownMidConnectionRejectsCleanly) {
 
 TEST(NetServerTest, UnixDomainTransportServes) {
   gpusim::Gpu Device;
-  std::string Dir = freshDir("cuasmrl_net_unix");
-  std::filesystem::create_directories(Dir);
-  std::string Sock = Dir + "/serve.sock";
+  test::TempDir Tmp;
+  std::string Sock = Tmp.sub("serve.sock");
 
   OptimizationService Service(Device, tinyService(/*Workers=*/1));
   ServerConfig NC;
@@ -947,7 +938,6 @@ TEST(NetServerTest, UnixDomainTransportServes) {
   Srv.stop();
   EXPECT_FALSE(std::filesystem::exists(Sock)); // stop() unlinks it.
   Service.shutdown();
-  std::filesystem::remove_all(Dir);
 }
 
 //===----------------------------------------------------------------------===//
@@ -956,7 +946,8 @@ TEST(NetServerTest, UnixDomainTransportServes) {
 
 TEST(NetClaimTest, TwoServicesRunExactlyOneJobPerKey) {
   gpusim::Gpu Device;
-  std::string Dir = freshDir("cuasmrl_claim_shared");
+  test::TempDir Tmp;
+  std::string Dir = Tmp.sub("deploy");
 
   auto claimedService = [&] {
     ServiceConfig SC = tinyService(/*Workers=*/1, Dir);
@@ -996,12 +987,12 @@ TEST(NetClaimTest, TwoServicesRunExactlyOneJobPerKey) {
 
   A.shutdown();
   B.shutdown();
-  std::filesystem::remove_all(Dir);
 }
 
 TEST(NetClaimTest, WaiterPollsUntilTheClaimReleases) {
   gpusim::Gpu Device;
-  std::string Dir = freshDir("cuasmrl_claim_wait");
+  test::TempDir Tmp;
+  std::string Dir = Tmp.sub("deploy");
   ServiceConfig SC = tinyService(/*Workers=*/1, Dir);
   SC.CrossProcessClaims = true;
   SC.ClaimPollInterval = std::chrono::milliseconds(5);
@@ -1036,12 +1027,12 @@ TEST(NetClaimTest, WaiterPollsUntilTheClaimReleases) {
   Service.shutdown();
   // Its own claim was released after persisting.
   EXPECT_FALSE(std::filesystem::exists(ClaimPath));
-  std::filesystem::remove_all(Dir);
 }
 
 TEST(NetClaimTest, StaleClaimsAreBrokenNotWaitedOn) {
   gpusim::Gpu Device;
-  std::string Dir = freshDir("cuasmrl_claim_stale");
+  test::TempDir Tmp;
+  std::string Dir = Tmp.sub("deploy");
   ServiceConfig SC = tinyService(/*Workers=*/1, Dir);
   SC.CrossProcessClaims = true;
   SC.ClaimPollInterval = std::chrono::milliseconds(5);
@@ -1066,5 +1057,4 @@ TEST(NetClaimTest, StaleClaimsAreBrokenNotWaitedOn) {
   EXPECT_EQ(S.OptimizeRuns, 1u);
   EXPECT_GE(S.ClaimBreaks, 1u);
   Service.shutdown();
-  std::filesystem::remove_all(Dir);
 }

@@ -11,9 +11,14 @@
 #include "triton/DeployCache.h"
 #include "triton/Pipeline.h"
 #include "kernels/Generators.h"
+#include "serve/DeployIndex.h"
+#include "support/StringUtils.h"
+
+#include "TempDir.h"
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
@@ -270,10 +275,8 @@ TEST(PipelineTest, ProbabilisticTestRejectsCorruptSchedule) {
 //===----------------------------------------------------------------------===//
 
 TEST(DeployCacheTest, StoreAndLookup) {
-  std::string Dir =
-      (std::filesystem::temp_directory_path() / "cuasmrl_cache_test")
-          .string();
-  std::filesystem::remove_all(Dir);
+  test::TempDir Tmp;
+  std::string Dir = Tmp.sub("deploy");
   triton::DeployCache Cache(Dir);
 
   gpusim::Gpu Device;
@@ -294,19 +297,17 @@ TEST(DeployCacheTest, StoreAndLookup) {
   Expected<sass::Program> P = cubin::disassemble(*Loaded);
   ASSERT_TRUE(P.hasValue());
   EXPECT_EQ(P->str(), K.Runtime.Prog.str());
-  std::filesystem::remove_all(Dir);
 }
 
 TEST(DeployCacheTest, MissingKeyReturnsNothing) {
-  triton::DeployCache Cache("/tmp/cuasmrl_cache_missing");
+  test::TempDir Tmp;
+  triton::DeployCache Cache(Tmp.sub("deploy"));
   EXPECT_FALSE(Cache.load("no-such-key").has_value());
 }
 
 TEST(DeployCacheTest, LoadRejectsCorruptFile) {
-  std::string Dir =
-      (std::filesystem::temp_directory_path() / "cuasmrl_cache_corrupt")
-          .string();
-  std::filesystem::remove_all(Dir);
+  test::TempDir Tmp;
+  std::string Dir = Tmp.sub("deploy");
   triton::DeployCache Cache(Dir);
 
   gpusim::Gpu Device;
@@ -327,14 +328,11 @@ TEST(DeployCacheTest, LoadRejectsCorruptFile) {
   }
   EXPECT_TRUE(Cache.contains("victim")); // The file exists...
   EXPECT_FALSE(Cache.load("victim").has_value()); // ...but never half-loads.
-  std::filesystem::remove_all(Dir);
 }
 
 TEST(DeployCacheTest, StoreLeavesOnlyTheFinalFile) {
-  std::string Dir =
-      (std::filesystem::temp_directory_path() / "cuasmrl_cache_atomic")
-          .string();
-  std::filesystem::remove_all(Dir);
+  test::TempDir Tmp;
+  std::string Dir = Tmp.sub("deploy");
   triton::DeployCache Cache(Dir);
 
   gpusim::Gpu Device;
@@ -351,14 +349,11 @@ TEST(DeployCacheTest, StoreLeavesOnlyTheFinalFile) {
     Names.push_back(Entry.path().filename().string());
   ASSERT_EQ(Names.size(), 1u);
   EXPECT_EQ(Names[0], "atomic.cubin");
-  std::filesystem::remove_all(Dir);
 }
 
 TEST(DeployCacheTest, ConcurrentStoresOfOneKeyStayComplete) {
-  std::string Dir =
-      (std::filesystem::temp_directory_path() / "cuasmrl_cache_race")
-          .string();
-  std::filesystem::remove_all(Dir);
+  test::TempDir Tmp;
+  std::string Dir = Tmp.sub("deploy");
   triton::DeployCache Cache(Dir);
 
   gpusim::Gpu Device;
@@ -379,7 +374,6 @@ TEST(DeployCacheTest, ConcurrentStoresOfOneKeyStayComplete) {
   std::optional<cubin::CubinFile> Loaded = Cache.load("contended");
   ASSERT_TRUE(Loaded.has_value());
   EXPECT_TRUE(cubin::disassemble(*Loaded).hasValue());
-  std::filesystem::remove_all(Dir);
 }
 
 TEST(DeployCacheTest, MakeKeySeparatorCannotCollide) {
@@ -408,10 +402,8 @@ TEST(DeployCacheTest, MakeKeySanitizesHostileComponents) {
     EXPECT_EQ(Key.find(C), std::string::npos) << "char: " << C;
   // ...and the dot-dot components are neutralized by the '/'
   // replacement (no path separator survives to resurrect them).
-  std::string Dir =
-      (std::filesystem::temp_directory_path() / "cuasmrl_cache_hostile")
-          .string();
-  std::filesystem::remove_all(Dir);
+  test::TempDir Tmp;
+  std::string Dir = Tmp.sub("deploy");
   triton::DeployCache Cache(Dir);
   gpusim::Gpu Device;
   Rng DataRng(3);
@@ -428,14 +420,11 @@ TEST(DeployCacheTest, MakeKeySanitizesHostileComponents) {
     ++Entries;
   }
   EXPECT_EQ(Entries, 1u);
-  std::filesystem::remove_all(Dir);
 }
 
 TEST(DeployCacheTest, KeysEnumeratesStoredKeysSorted) {
-  std::string Dir =
-      (std::filesystem::temp_directory_path() / "cuasmrl_cache_keys")
-          .string();
-  std::filesystem::remove_all(Dir);
+  test::TempDir Tmp;
+  std::string Dir = Tmp.sub("deploy");
   triton::DeployCache Cache(Dir);
   EXPECT_TRUE(Cache.keys().empty()); // Missing directory: empty, no throw.
 
@@ -447,16 +436,13 @@ TEST(DeployCacheTest, KeysEnumeratesStoredKeysSorted) {
   ASSERT_TRUE(Cache.store("beta", K.Binary));
   ASSERT_TRUE(Cache.store("alpha", K.Binary));
   EXPECT_EQ(Cache.keys(), (std::vector<std::string>{"alpha", "beta"}));
-  std::filesystem::remove_all(Dir);
 }
 
 TEST(DeployCacheTest, StoreFailsCleanlyOnUnwritableDirectory) {
   // A regular file where the directory should be: create_directories
   // fails even when running as root (chmod-based fixtures do not).
-  std::string Blocker =
-      (std::filesystem::temp_directory_path() / "cuasmrl_cache_blocker")
-          .string();
-  std::filesystem::remove_all(Blocker);
+  test::TempDir Tmp;
+  std::string Blocker = Tmp.sub("blocker");
   {
     std::ofstream OS(Blocker);
     OS << "file, not dir";
@@ -469,7 +455,264 @@ TEST(DeployCacheTest, StoreFailsCleanlyOnUnwritableDirectory) {
       candidateConfigs(WorkloadKind::Softmax).front(), DataRng);
   EXPECT_FALSE(Cache.store("key", K.Binary));
   EXPECT_TRUE(Cache.keys().empty());
-  std::filesystem::remove_all(Blocker);
+}
+
+namespace {
+
+/// A real deployed cubin: the compiled softmax kernel.
+cubin::CubinFile softmaxCubin() {
+  gpusim::Gpu Device;
+  Rng DataRng(3);
+  return triton::compileKernel(Device, WorkloadKind::Softmax,
+                               testShape(WorkloadKind::Softmax),
+                               candidateConfigs(WorkloadKind::Softmax).front(),
+                               DataRng)
+      .Binary;
+}
+
+} // namespace
+
+TEST(DeployCacheTest, LoadOutcomesForMissingEmptyAndDirectoryEntries) {
+  test::TempDir Tmp;
+  triton::DeployCache Cache(Tmp.path());
+
+  EXPECT_FALSE(Cache.load("missing").has_value());
+  EXPECT_FALSE(Cache.contains("missing"));
+  EXPECT_FALSE(Cache.loadMeta("missing").has_value());
+
+  // An empty cubin is present but decodes to nothing: the service's
+  // corrupt-read path. An empty sidecar reads as present and empty.
+  { std::ofstream OS(Tmp.sub("empty.cubin")); }
+  { std::ofstream OS(Tmp.sub("empty.meta")); }
+  EXPECT_FALSE(Cache.load("empty").has_value());
+  EXPECT_TRUE(Cache.contains("empty"));
+  std::optional<std::string> Meta = Cache.loadMeta("empty");
+  ASSERT_TRUE(Meta.has_value());
+  EXPECT_TRUE(Meta->empty());
+
+  // A directory at either path reads as nothing and never throws.
+  std::filesystem::create_directories(Tmp.sub("dir.cubin"));
+  std::filesystem::create_directories(Tmp.sub("dir.meta"));
+  EXPECT_FALSE(Cache.load("dir").has_value());
+  EXPECT_TRUE(Cache.contains("dir"));
+  EXPECT_FALSE(Cache.loadMeta("dir").has_value());
+}
+
+TEST(DeployCacheTest, TrailingBytesLoadAsCorrupt) {
+  // A stored cubin with bytes appended is not the cubin that was
+  // stored: it loads as nothing while contains() stays true, which
+  // sends the service down its corrupt-read retry path.
+  test::TempDir Tmp;
+  triton::DeployCache Cache(Tmp.path());
+  ASSERT_TRUE(Cache.store("victim", softmaxCubin()));
+  ASSERT_TRUE(Cache.load("victim").has_value());
+  {
+    std::ofstream OS(Tmp.sub("victim.cubin"),
+                     std::ios::binary | std::ios::app);
+    OS.put('\0');
+  }
+  EXPECT_TRUE(Cache.contains("victim"));
+  EXPECT_FALSE(Cache.load("victim").has_value());
+}
+
+//===----------------------------------------------------------------------===//
+// DeployFuzz: seeded fuzzers for the deploy cache's decoders
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+void putU32(std::vector<uint8_t> &Bytes, size_t Off, uint32_t V) {
+  std::memcpy(Bytes.data() + Off, &V, sizeof(V));
+}
+
+uint32_t getU32(const std::vector<uint8_t> &Bytes, size_t Off) {
+  uint32_t V;
+  std::memcpy(&V, Bytes.data() + Off, sizeof(V));
+  return V;
+}
+
+uint16_t getU16(const std::vector<uint8_t> &Bytes, size_t Off) {
+  uint16_t V;
+  std::memcpy(&V, Bytes.data() + Off, sizeof(V));
+  return V;
+}
+
+/// Byte offsets of the length-bearing fields of a serialized cubin
+/// (layout in cubin/Cubin.cpp): the info name, the section count, and
+/// each section's name length and data size.
+struct CubinLayout {
+  size_t InfoName = 8, Count = 0;
+  std::vector<size_t> SectionNames, SectionSizes;
+
+  explicit CubinLayout(const std::vector<uint8_t> &Bytes) {
+    Count = InfoName + 2 + getU16(Bytes, InfoName) + 5 * 4;
+    size_t Pos = Count + 4;
+    for (uint32_t I = 0; I < getU32(Bytes, Count); ++I) {
+      SectionNames.push_back(Pos);
+      Pos += 2 + getU16(Bytes, Pos);
+      SectionSizes.push_back(Pos);
+      Pos += 4 + getU32(Bytes, Pos);
+    }
+    EXPECT_EQ(Pos, Bytes.size()) << "layout walk disagrees with the format";
+  }
+};
+
+} // namespace
+
+TEST(DeployFuzz, EveryCubinTruncationIsRejected) {
+  std::vector<uint8_t> Bytes = softmaxCubin().serialize();
+  ASSERT_TRUE(cubin::CubinFile::deserialize(Bytes).hasValue());
+  for (size_t Len = 0; Len < Bytes.size(); ++Len) {
+    std::vector<uint8_t> Prefix(Bytes.begin(), Bytes.begin() + Len);
+    EXPECT_FALSE(cubin::CubinFile::deserialize(Prefix).hasValue())
+        << "prefix of " << Len << " of " << Bytes.size() << " bytes";
+  }
+}
+
+TEST(DeployFuzz, CubinBitFlipsAreRejectedOrDecodeCanonically) {
+  // Decoding is canonical: whatever a flipped byte string decodes to
+  // must serialize back to exactly those bytes. Two byte strings never
+  // decode to one cubin.
+  const std::vector<uint8_t> Bytes = softmaxCubin().serialize();
+  Rng R(2024);
+  unsigned Accepted = 0, Rejected = 0;
+  for (unsigned Trial = 0; Trial < 4096; ++Trial) {
+    std::vector<uint8_t> Flipped = Bytes;
+    for (uint64_t Flips = 1 + R.uniformInt(3); Flips > 0; --Flips)
+      Flipped[R.uniformInt(Flipped.size())] ^=
+          static_cast<uint8_t>(1u << R.uniformInt(8));
+    Expected<cubin::CubinFile> File = cubin::CubinFile::deserialize(Flipped);
+    if (!File) {
+      ++Rejected;
+      continue;
+    }
+    ++Accepted;
+    ASSERT_EQ(File->serialize(), Flipped) << "trial " << Trial;
+  }
+  // Both outcomes occur: flips in section data decode, flips in the
+  // magic or a length field do not.
+  EXPECT_GT(Accepted, 0u);
+  EXPECT_GT(Rejected, 0u);
+}
+
+TEST(DeployFuzz, HostileCubinCountsAndLengthsAreRejected) {
+  const std::vector<uint8_t> Bytes = softmaxCubin().serialize();
+  const CubinLayout L(Bytes);
+  ASSERT_FALSE(L.SectionSizes.empty());
+  auto Rejects = [](const std::vector<uint8_t> &B) {
+    return !cubin::CubinFile::deserialize(B).hasValue();
+  };
+
+  const uint32_t Count = getU32(Bytes, L.Count);
+  for (uint32_t Hostile : {0u, Count - 1, Count + 1, Count + 1000, 1u << 16,
+                           1u << 31, 0xFFFFFFFFu}) {
+    std::vector<uint8_t> B = Bytes;
+    putU32(B, L.Count, Hostile);
+    EXPECT_TRUE(Rejects(B)) << "section count " << Hostile;
+  }
+  for (size_t I = 0; I < L.SectionSizes.size(); ++I) {
+    for (uint32_t Hostile : {1u << 20, 1u << 31, 0xFFFFFFFFu}) {
+      std::vector<uint8_t> B = Bytes;
+      putU32(B, L.SectionSizes[I], Hostile);
+      EXPECT_TRUE(Rejects(B)) << "section " << I << " size " << Hostile;
+    }
+  }
+  std::vector<size_t> NameFields = L.SectionNames;
+  NameFields.push_back(L.InfoName);
+  for (size_t Off : NameFields) {
+    std::vector<uint8_t> B = Bytes;
+    B[Off] = B[Off + 1] = 0xFF; // A 65535-byte name.
+    EXPECT_TRUE(Rejects(B)) << "name length at offset " << Off;
+  }
+  // The last section's size one past its data is a truncation; one
+  // short of it leaves a trailing byte.
+  for (int Delta : {-1, 1}) {
+    std::vector<uint8_t> B = Bytes;
+    size_t Off = L.SectionSizes.back();
+    putU32(B, Off, getU32(B, Off) + static_cast<uint32_t>(Delta));
+    EXPECT_TRUE(Rejects(B)) << "last section size off by " << Delta;
+  }
+}
+
+TEST(DeployFuzz, DeployMetaEditsNeverCrashAndAcceptedEntriesRoundTrip) {
+  const std::vector<std::string> HostileNumbers = {
+      "",           "-1",   "+3",         "0x10",
+      " 7",         "1e9",  "nan",        "4294967295",
+      "4294967296", "18446744073709551615", "18446744073709551616",
+      "99999999999999999999999999999999"};
+  // An accepted entry must survive encode -> parse unchanged; the
+  // encoding covers every field but the key, which parse is handed.
+  unsigned Accepted = 0, Rejected = 0;
+  auto Check = [&](const std::string &Text) {
+    std::optional<serve::DeployedEntry> E =
+        serve::parseDeployMeta(Text, "fuzz-key");
+    if (!E) {
+      ++Rejected;
+      return;
+    }
+    ++Accepted;
+    std::string Encoded = serve::encodeDeployMeta(*E);
+    std::optional<serve::DeployedEntry> Back =
+        serve::parseDeployMeta(Encoded, E->Key);
+    ASSERT_TRUE(Back.has_value()) << Encoded;
+    EXPECT_EQ(serve::encodeDeployMeta(*Back), Encoded);
+    EXPECT_EQ(Back->Key, "fuzz-key");
+  };
+
+  Rng R(77);
+  for (WorkloadKind Kind : allWorkloads()) {
+    serve::DeployedEntry Seed;
+    Seed.GpuType = "A100-SIM";
+    Seed.Kind = Kind;
+    Seed.Shape = testShape(Kind);
+    Seed.Key = "fuzz-key";
+    const std::string Text = serve::encodeDeployMeta(Seed);
+    for (size_t Len = 0; Len <= Text.size(); ++Len)
+      Check(Text.substr(0, Len));
+
+    for (unsigned Trial = 0; Trial < 512; ++Trial) {
+      std::vector<std::string> Lines = split(Text, '\n');
+      for (uint64_t Edits = 1 + R.uniformInt(3); Edits > 0; --Edits) {
+        size_t At = R.uniformInt(Lines.size());
+        switch (R.uniformInt(5)) {
+        case 0: // Drop a line.
+          Lines.erase(Lines.begin() + At);
+          if (Lines.empty())
+            Lines.push_back("");
+          break;
+        case 1: // Repeat a line.
+          Lines.insert(Lines.begin() + At, Lines[At]);
+          break;
+        case 2: // Swap two lines.
+          std::swap(Lines[At], Lines[R.uniformInt(Lines.size())]);
+          break;
+        case 3: { // A shape line with hostile numbers and field counts.
+          std::string Shape = "shape=";
+          for (uint64_t F = 0, N = R.uniformInt(12); F < N; ++F)
+            Shape += (F ? "," : "") +
+                     HostileNumbers[R.uniformInt(HostileNumbers.size())];
+          Lines[At] = Shape;
+          break;
+        }
+        default: { // Overwrite one byte with anything, '\n' included.
+          std::string &Line = Lines[At];
+          if (!Line.empty())
+            Line[R.uniformInt(Line.size())] =
+                static_cast<char>(R.uniformInt(256));
+          break;
+        }
+        }
+      }
+      std::string Edited;
+      for (size_t I = 0; I < Lines.size(); ++I)
+        Edited += (I ? "\n" : "") + Lines[I];
+      if (R.bernoulli(0.25))
+        Edited.resize(R.uniformInt(Edited.size() + 1));
+      Check(Edited);
+    }
+  }
+  EXPECT_GT(Accepted, 0u);
+  EXPECT_GT(Rejected, 0u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -694,10 +937,8 @@ TEST(OptimizerTest, ZeroGameRepeatsAreRefusedBeforeAnyWork) {
 }
 
 TEST(OptimizerTest, AutotuneAllPersistsWinnersThroughDeployCache) {
-  std::string Dir =
-      (std::filesystem::temp_directory_path() / "cuasmrl_sweep_deploy")
-          .string();
-  std::filesystem::remove_all(Dir);
+  test::TempDir Tmp;
+  std::string Dir = Tmp.sub("deploy");
   triton::DeployCache Deploy(Dir);
 
   gpusim::Gpu Device;
@@ -739,16 +980,13 @@ TEST(OptimizerTest, AutotuneAllPersistsWinnersThroughDeployCache) {
     ++Stored;
   }
   EXPECT_EQ(Stored, 2u);
-  std::filesystem::remove_all(Dir);
 }
 
 TEST(OptimizerTest, AutotuneAllSurfacesPersistFailures) {
   // A regular file blocks the deploy directory: every store must fail
   // and be counted — winners are never dropped silently.
-  std::string Blocker =
-      (std::filesystem::temp_directory_path() / "cuasmrl_sweep_blocker")
-          .string();
-  std::filesystem::remove_all(Blocker);
+  test::TempDir Tmp;
+  std::string Blocker = Tmp.sub("blocker");
   {
     std::ofstream OS(Blocker);
     OS << "file, not dir";
@@ -773,5 +1011,4 @@ TEST(OptimizerTest, AutotuneAllSurfacesPersistFailures) {
   EXPECT_EQ(Stats.Attempted, 2u); // ...but persistence reports honestly.
   EXPECT_EQ(Stats.Stored, 0u);
   EXPECT_EQ(Stats.Failures, 2u);
-  std::filesystem::remove_all(Blocker);
 }

@@ -12,9 +12,13 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "net/Client.h"
+#include "net/Server.h"
 #include "serve/JobQueue.h"
 #include "serve/OptimizationService.h"
 #include "support/Clock.h"
+
+#include "TempDir.h"
 
 #include <gtest/gtest.h>
 
@@ -158,13 +162,6 @@ OptimizeRequest request(WorkloadKind Kind, int Priority = 0) {
   return R;
 }
 
-std::string freshDir(const std::string &Name) {
-  std::string Dir =
-      (std::filesystem::temp_directory_path() / Name).string();
-  std::filesystem::remove_all(Dir);
-  return Dir;
-}
-
 /// Everything response equality means for the determinism contract.
 void expectResponsesIdentical(const OptimizeResponse &A,
                               const OptimizeResponse &B) {
@@ -258,7 +255,8 @@ TEST(ServeTest, SingleFlightMergesConcurrentDuplicates) {
 
 TEST(ServeTest, LookupHitShortCircuitsTraining) {
   gpusim::Gpu Device;
-  std::string Dir = freshDir("cuasmrl_serve_lookup");
+  test::TempDir Tmp;
+  std::string Dir = Tmp.sub("deploy");
 
   std::vector<uint8_t> DeployedBytes;
   {
@@ -295,7 +293,6 @@ TEST(ServeTest, LookupHitShortCircuitsTraining) {
   EXPECT_EQ(S.OptimizeRuns, 0u);
   EXPECT_EQ(S.TrainingUpdates, 0u);
   EXPECT_EQ(S.Enqueued, 0u);
-  std::filesystem::remove_all(Dir);
 }
 
 TEST(ServeTest, PriorityOrdersJobsUnderSingleWorker) {
@@ -426,7 +423,8 @@ TEST(ServeTest, PersistFailuresAreCountedNotSwallowed) {
   gpusim::Gpu Device;
   // A regular file where the deploy directory should be: every
   // create_directories/store call must fail, even running as root.
-  std::string Blocker = freshDir("cuasmrl_serve_blocker");
+  test::TempDir Tmp;
+  std::string Blocker = Tmp.sub("blocker");
   {
     std::ofstream OS(Blocker);
     OS << "not a directory";
@@ -443,7 +441,6 @@ TEST(ServeTest, PersistFailuresAreCountedNotSwallowed) {
   EXPECT_EQ(S.PersistFailures, 1u);
   EXPECT_EQ(S.PersistStores, 0u);
   EXPECT_EQ(S.DeployedKeys, 0u);
-  std::filesystem::remove_all(Blocker);
 }
 
 TEST(ServeTest, ZeroGameRepeatsAnswerFailedInProcess) {
@@ -526,9 +523,59 @@ TEST(ServeTest, RequestKeyDigestIsPinned) {
             "cfga5ed8592db34c0d4-cb8df21e51402484");
 }
 
+TEST(ServeTest, AdmissionKeyMatchesRequestKey) {
+  // admit() keys a request without a Config from the digest its service
+  // took at construction, and digests only an overriding Config. Both
+  // must name the file requestKey() names, in process and on the wire.
+  gpusim::Gpu Device;
+  test::TempDir Tmp;
+  ServiceConfig SC = tinyService(1, Tmp.sub("deploy"));
+  OptimizationService Service(Device, SC);
+  net::Server Srv(Service, net::ServerConfig{});
+  Expected<uint16_t> Port = Srv.start();
+  ASSERT_TRUE(static_cast<bool>(Port)) << Port.error().message();
+  net::ClientConfig CC;
+  CC.Port = *Port;
+  net::Client Cli(CC);
+
+  OptimizeRequest Plain = request(WorkloadKind::Softmax);
+  Plain.AllowDegraded = false; // Each submit runs its own exact job.
+  OptimizeRequest Custom = Plain;
+  Custom.Config = tinyConfig();
+  Custom.Config->Ppo.Lr = 1e-3;
+  for (const OptimizeRequest &R : {Plain, Custom}) {
+    const std::string Want = OptimizationService::requestKey(R, SC.Defaults);
+    Ticket T = Service.submit(R);
+    EXPECT_EQ(T.Key, Want);
+    EXPECT_EQ(T.Response.get()->Key, Want);
+    // The job deployed the key, so the wire call is a lookup hit.
+    Expected<net::WireResponse> Wire = Cli.call(R);
+    ASSERT_TRUE(static_cast<bool>(Wire)) << Wire.error().message();
+    EXPECT_EQ(Wire->St, net::WireStatus::LookupHit);
+    EXPECT_EQ(Wire->Key, Want);
+  }
+  EXPECT_NE(OptimizationService::requestKey(Plain, SC.Defaults),
+            OptimizationService::requestKey(Custom, SC.Defaults));
+  Srv.stop();
+  Service.shutdown();
+
+  // Other Defaults, other key for the same request: here the Defaults
+  // equal Custom's Config, so Plain keys exactly as Custom did.
+  ServiceConfig Other = tinyService(1);
+  Other.Defaults.Ppo.Lr = 1e-3;
+  Other.StartPaused = true;
+  OptimizationService Second(Device, Other);
+  Ticket T = Second.submit(Plain);
+  EXPECT_EQ(T.Key, OptimizationService::requestKey(Plain, Other.Defaults));
+  EXPECT_NE(T.Key, OptimizationService::requestKey(Plain, SC.Defaults));
+  EXPECT_EQ(T.Key, OptimizationService::requestKey(Custom, SC.Defaults));
+  Second.shutdown();
+}
+
 TEST(ServeTest, ThrowingCallbacksAreContainedOnBothPaths) {
   gpusim::Gpu Device;
-  std::string Dir = freshDir("cuasmrl_serve_throw");
+  test::TempDir Tmp;
+  std::string Dir = Tmp.sub("deploy");
   OptimizationService Service(Device, tinyService(1, Dir));
 
   // Optimize-job path: the throw must neither kill the worker nor
@@ -554,7 +601,6 @@ TEST(ServeTest, ThrowingCallbacksAreContainedOnBothPaths) {
   // Still fully operational after both throws.
   Ticket C = Service.submit(request(WorkloadKind::RmsNorm));
   EXPECT_EQ(C.Response.get()->St, OptimizeResponse::Status::Optimized);
-  std::filesystem::remove_all(Dir);
 }
 
 TEST(ServeTest, DrainQuiescesAndKeepsAccepting) {

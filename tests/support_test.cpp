@@ -12,12 +12,15 @@
 #include "support/Table.h"
 #include "support/ThreadPool.h"
 
+#include "TempDir.h"
+
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
@@ -263,14 +266,6 @@ TEST(ThreadPool, ZeroThreadRequestClampsToOne) {
 
 namespace {
 
-std::string freshTmpDir(const std::string &Name) {
-  std::string Dir =
-      (std::filesystem::temp_directory_path() / Name).string();
-  std::filesystem::remove_all(Dir);
-  std::filesystem::create_directories(Dir);
-  return Dir;
-}
-
 std::string slurp(const std::string &Path) {
   std::ifstream IS(Path, std::ios::binary);
   std::ostringstream SS;
@@ -281,7 +276,8 @@ std::string slurp(const std::string &Path) {
 } // namespace
 
 TEST(AtomicFile, WritesAndOverwritesAtomically) {
-  std::string Dir = freshTmpDir("cuasmrl_atomicfile_test");
+  test::TempDir Tmp;
+  const std::string &Dir = Tmp.path();
   std::string Path = Dir + "/blob.bin";
   ASSERT_TRUE(support::atomicWriteFile(Path, std::string("first")));
   EXPECT_EQ(slurp(Path), "first");
@@ -295,19 +291,19 @@ TEST(AtomicFile, WritesAndOverwritesAtomically) {
     ++NonTmp;
   }
   EXPECT_EQ(NonTmp, 1u);
-  std::filesystem::remove_all(Dir);
 }
 
 TEST(AtomicFile, FailsCleanlyOnMissingDirectory) {
-  std::string Dir = freshTmpDir("cuasmrl_atomicfile_missing_test");
-  std::filesystem::remove_all(Dir);
+  test::TempDir Tmp;
+  std::string Dir = Tmp.sub("missing");
   // Nonexistent parent: the write must fail without creating anything.
   EXPECT_FALSE(support::atomicWriteFile(Dir + "/x.bin", std::string("v")));
   EXPECT_FALSE(std::filesystem::exists(Dir));
 }
 
 TEST(AtomicFile, SweepRemovesOnlyTmpOrphans) {
-  std::string Dir = freshTmpDir("cuasmrl_atomicfile_sweep_test");
+  test::TempDir Tmp;
+  const std::string &Dir = Tmp.path();
   ASSERT_TRUE(support::atomicWriteFile(Dir + "/keep.bin",
                                        std::string("keep")));
   { std::ofstream(Dir + "/keep.bin.tmp.123.4") << "torn"; }
@@ -318,7 +314,61 @@ TEST(AtomicFile, SweepRemovesOnlyTmpOrphans) {
   EXPECT_EQ(support::sweepOrphanTmpFiles(Dir), 0u); // Idempotent.
   // A directory that never existed sweeps as zero, not an error.
   EXPECT_EQ(support::sweepOrphanTmpFiles(Dir + "/nope"), 0u);
-  std::filesystem::remove_all(Dir);
+}
+
+//===----------------------------------------------------------------------===//
+// readFile: the one whole-file read
+//===----------------------------------------------------------------------===//
+
+TEST(ReadFile, MissingPathReadsAsNothing) {
+  test::TempDir Tmp;
+  EXPECT_FALSE(support::readFile(Tmp.sub("absent")).has_value());
+  EXPECT_FALSE(support::readFile(Tmp.sub("absent/deeper")).has_value());
+}
+
+TEST(ReadFile, EmptyFileReadsAsPresentAndEmpty) {
+  test::TempDir Tmp;
+  std::string Path = Tmp.sub("empty");
+  { std::ofstream OS(Path); }
+  std::optional<std::string> Bytes = support::readFile(Path);
+  ASSERT_TRUE(Bytes.has_value());
+  EXPECT_TRUE(Bytes->empty());
+}
+
+TEST(ReadFile, LargeFileComesBackByteExact) {
+  // Over 1 MiB, every byte value (NULs included), a size that is no
+  // multiple of any buffer or page size.
+  test::TempDir Tmp;
+  std::string Path = Tmp.sub("large.bin");
+  std::string Want((1u << 20) + 4099, '\0');
+  Rng R(17);
+  for (char &C : Want)
+    C = static_cast<char>(R.uniformInt(256));
+  ASSERT_TRUE(support::atomicWriteFile(Path, Want));
+  std::optional<std::string> Got = support::readFile(Path);
+  ASSERT_TRUE(Got.has_value());
+  EXPECT_EQ(Got->size(), Want.size());
+  EXPECT_TRUE(*Got == Want); // Not EXPECT_EQ: a mismatch would print 1 MiB.
+  EXPECT_TRUE(*Got == slurp(Path));
+}
+
+TEST(ReadFile, ReadsPastAStatSizeOfZero) {
+  // Kernel pseudo-files report st_size 0 yet have contents: the buffer
+  // must grow until EOF rather than trust the stat size.
+  const std::string Path = "/proc/self/status";
+  if (!std::filesystem::exists(Path))
+    GTEST_SKIP() << "no " << Path << " on this system";
+  std::optional<std::string> Got = support::readFile(Path);
+  ASSERT_TRUE(Got.has_value());
+  EXPECT_EQ(Got->rfind("Name:", 0), 0u);
+  EXPECT_EQ(Got->back(), '\n');
+}
+
+TEST(ReadFile, DirectoryReadsAsNothing) {
+  // A directory opens but cannot be read (EISDIR): nothing, like a
+  // missing file, and never an exception.
+  test::TempDir Tmp;
+  EXPECT_FALSE(support::readFile(Tmp.path()).has_value());
 }
 
 //===----------------------------------------------------------------------===//
@@ -326,7 +376,8 @@ TEST(AtomicFile, SweepRemovesOnlyTmpOrphans) {
 //===----------------------------------------------------------------------===//
 
 TEST(FileLock, ClaimIsExclusiveUntilReleased) {
-  std::string Dir = freshTmpDir("cuasmrl_filelock_test");
+  test::TempDir Tmp;
+  const std::string &Dir = Tmp.path();
   std::string Path = Dir + "/claims/key.lock";
   std::string A = support::FileLock::makeToken();
   std::string B = support::FileLock::makeToken();
@@ -347,11 +398,11 @@ TEST(FileLock, ClaimIsExclusiveUntilReleased) {
   // Released path is claimable again.
   EXPECT_TRUE(support::FileLock::tryClaim(Path, B));
   EXPECT_TRUE(support::FileLock::release(Path, B));
-  std::filesystem::remove_all(Dir);
 }
 
 TEST(FileLock, RefreshIsOwnershipChecked) {
-  std::string Dir = freshTmpDir("cuasmrl_filelock_refresh_test");
+  test::TempDir Tmp;
+  const std::string &Dir = Tmp.path();
   std::string Path = Dir + "/key.lock";
   std::string A = support::FileLock::makeToken();
   std::string B = support::FileLock::makeToken();
@@ -362,11 +413,11 @@ TEST(FileLock, RefreshIsOwnershipChecked) {
   auto Age = support::FileLock::age(Path);
   ASSERT_TRUE(Age.has_value());
   EXPECT_GE(Age->count(), 0); // Clamped against clock skew.
-  std::filesystem::remove_all(Dir);
 }
 
 TEST(FileLock, BreakStaleRemovesOnlyOldClaims) {
-  std::string Dir = freshTmpDir("cuasmrl_filelock_stale_test");
+  test::TempDir Tmp;
+  const std::string &Dir = Tmp.path();
   std::string Path = Dir + "/key.lock";
   std::string A = support::FileLock::makeToken();
   ASSERT_TRUE(support::FileLock::tryClaim(Path, A));
@@ -395,11 +446,41 @@ TEST(FileLock, BreakStaleRemovesOnlyOldClaims) {
   EXPECT_FALSE(support::FileLock::refresh(Path, A));
   EXPECT_FALSE(support::FileLock::release(Path, A));
   EXPECT_EQ(support::FileLock::owner(Path).value_or(""), B);
-  std::filesystem::remove_all(Dir);
+}
+
+TEST(FileLock, OwnerOfMissingEmptyAndDirectoryPaths) {
+  test::TempDir Tmp;
+  std::string A = support::FileLock::makeToken();
+
+  std::string Missing = Tmp.sub("missing.lock");
+  EXPECT_FALSE(support::FileLock::owner(Missing).has_value());
+  EXPECT_FALSE(support::FileLock::refresh(Missing, A));
+  EXPECT_FALSE(support::FileLock::release(Missing, A));
+
+  // A torn claim (the claimant died before writing its token) has an
+  // owner no live token matches: it ages out via breakStale().
+  std::string Empty = Tmp.sub("empty.lock");
+  { std::ofstream OS(Empty); }
+  std::optional<std::string> Torn = support::FileLock::owner(Empty);
+  ASSERT_TRUE(Torn.has_value());
+  EXPECT_EQ(*Torn, "");
+  EXPECT_FALSE(support::FileLock::refresh(Empty, A));
+  EXPECT_FALSE(support::FileLock::release(Empty, A));
+  EXPECT_TRUE(std::filesystem::exists(Empty));
+
+  // A directory at the claim path has no owner, and reading it never
+  // throws.
+  std::string Dir = Tmp.sub("dir.lock");
+  std::filesystem::create_directories(Dir);
+  EXPECT_FALSE(support::FileLock::owner(Dir).has_value());
+  EXPECT_FALSE(support::FileLock::refresh(Dir, A));
+  EXPECT_FALSE(support::FileLock::release(Dir, A));
+  EXPECT_TRUE(std::filesystem::is_directory(Dir));
 }
 
 TEST(FileLock, ConcurrentClaimantsExactlyOneWins) {
-  std::string Dir = freshTmpDir("cuasmrl_filelock_race_test");
+  test::TempDir Tmp;
+  const std::string &Dir = Tmp.path();
   std::string Path = Dir + "/key.lock";
   constexpr unsigned N = 8;
   std::vector<std::string> Tokens;
@@ -417,5 +498,4 @@ TEST(FileLock, ConcurrentClaimantsExactlyOneWins) {
   auto Owner = support::FileLock::owner(Path);
   ASSERT_TRUE(Owner.has_value());
   EXPECT_TRUE(support::FileLock::release(Path, *Owner));
-  std::filesystem::remove_all(Dir);
 }
